@@ -37,7 +37,7 @@ from counterpoint.model_tables import (
     EXPECTED_STEP_HISTOGRAMS,
     MYSTIC_STEP_TABLE,
 )
-from counterpoint.worlds import _engine_counts, build_world
+from counterpoint.worlds import _engine_class_table, build_world
 
 N = 12
 MARKED = sorted(MYSTIC_HALF)
@@ -45,11 +45,10 @@ EVEN_INTERVALS = {0, 2, 4, 6, 8}  # marked intervals lying in the even whole-ton
 
 
 def engine_class_counts(d: Dichotomy) -> dict:
-    """(k, d, l) -> engine count, read off the x=0 rows (engine output is
-    translation covariant)."""
-    counts = _engine_counts(d)
+    """(k, d, l) -> engine count, read off the engine's class table."""
+    table = _engine_class_table(d)
     return {
-        (k, dd, l): counts[k][N * dd + l]
+        (k, dd, l): table[k][N * dd + l]
         for k in range(N)
         for dd in range(N)
         for l in range(N)

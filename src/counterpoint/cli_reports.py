@@ -14,10 +14,8 @@ Commands
 Output is TEXT (4-decimal rendering), JSON (full precision, sorted keys,
 no timestamps — byte-identical across reruns of the same tool version), or
 CSV where tabular.  Exit codes: 0 success, 2 input error, 3 model error,
-4 calibration-gate failure.  Preset worlds are cached on disk under
-$COUNTERPOINT_CACHE_DIR (default ~/.cache/counterpoint), keyed by modulus,
-class representative, and model variant; the calibration gate runs when a
-cache entry is created.
+4 calibration-gate failure.  Every run builds its worlds from scratch, so
+the calibration gate runs on every preset world a command uses.
 """
 
 from __future__ import annotations
@@ -37,11 +35,9 @@ from .dichotomies import (
     NotStrong,
     OddModulusUnsupported,
     chord_endomorphisms,
-    classify,
     parse_pitch_class_set,
 )
-from .model_tables import EXPECTED_STEP_HISTOGRAMS
-from .residue_algebra import DualNumber, Modulus, ModulusMismatch, NotInvertible
+from .residue_algebra import DualNumber, ModulusMismatch, NotInvertible
 from .score_io import (
     COLUMN_CANTUS,
     Dedup,
@@ -147,78 +143,12 @@ def _frac(x: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# world loading and cache
+# world loading
 
 
-def cache_directory() -> Path:
-    env = os.environ.get("COUNTERPOINT_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "counterpoint"
-
-
-def _cache_path(d: Dichotomy, variant: str) -> Path:
-    canonical = classify(d).canonical_representative
-    stem = "world-n{}-c{}-{}".format(
-        d.modulus.n,
-        "_".join(str(r) for r in canonical),
-        variant.replace("/", "_"),
-    )
-    return cache_directory() / f"{stem}.json"
-
-
-def _world_to_payload(w: World) -> dict:
-    return {
-        "modulus": w.modulus.n,
-        "half": sorted(w.dichotomy.half),
-        "label": w.label,
-        "variant": w.variant,
-        "counts": ["".join(str(c) for c in row) for row in w.counts],
-        "histogram": {str(k): v for k, v in sorted(w.histogram.items())},
-    }
-
-
-def _world_from_payload(payload: dict) -> World:
-    modulus = Modulus(payload["modulus"])
-    d = Dichotomy(frozenset(payload["half"]), modulus)
-    counts = tuple(bytes(int(ch) for ch in row) for row in payload["counts"])
-    histogram = {int(k): v for k, v in payload["histogram"].items()}
-    recount: dict = {c: 0 for c in histogram}
-    for row in counts:
-        for c in row:
-            recount[c] = recount.get(c, 0) + 1
-    if {k: v for k, v in recount.items() if v} != {k: v for k, v in histogram.items() if v}:
-        raise GateFailure("cached world is internally inconsistent")
-    label = payload["label"]
-    if label in EXPECTED_STEP_HISTOGRAMS and histogram != EXPECTED_STEP_HISTOGRAMS[label]:
-        raise GateFailure(f"cached {label} world fails its calibration fingerprint")
-    return World(d, label, payload["variant"], counts, histogram)
-
-
-def load_world(d: Dichotomy, use_cache: bool = True) -> World:
-    """Build a world, reusing the on-disk cache for the two presets."""
-    from .dichotomies import FUX_HALF, MYSTIC_HALF
-    from .model_tables import FUX_MODEL_VARIANT, MYSTIC_MODEL_VARIANT
-
-    preset_variant = None
-    if d.modulus.n == 12 and d.half == FUX_HALF:
-        preset_variant = FUX_MODEL_VARIANT
-    elif d.modulus.n == 12 and d.half == MYSTIC_HALF:
-        preset_variant = MYSTIC_MODEL_VARIANT
-    if preset_variant is None or not use_cache:
-        return build_world(d)
-    path = _cache_path(d, preset_variant)
-    if path.exists():
-        try:
-            return _world_from_payload(json.loads(path.read_text()))
-        except (OSError, KeyError, TypeError, json.JSONDecodeError):
-            pass  # unreadable cache: rebuild below and overwrite
-    world = build_world(d)  # calibration gate runs here
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(_world_to_payload(world), sort_keys=True))
-    tmp.replace(path)
-    return world
+def load_world(d: Dichotomy) -> World:
+    """Build the world of d; preset worlds pass their calibration gate first."""
+    return build_world(d)
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,8 @@ FUX_WORKED_STEPS = {
 }
 FUX_MAX_STEP_COUNT = 5
 
-# Identifiers of the frozen rule variants, embedded in report metadata and
-# world-cache keys so cached worlds are never reused across model revisions.
+# Identifiers of the frozen rule variants, embedded in report metadata so a
+# report names the model revision that produced it.
 FUX_MODEL_VARIANT = "fiber-engine/source-species-v1"
 MYSTIC_MODEL_VARIANT = "frozen-table-v1"
 

@@ -21,10 +21,17 @@ S (the marked half K if k is marked, else the complement D):
 The count of a step xi -> eta is the number of surviving symmetries whose
 preimage of eta has interval part back in the source species S.
 
-Preset builds are gated: the Fuxian world is computed by this engine and
-must reproduce its frozen histogram, worked steps and maximum; the mystic
-world is read from the frozen step-class table and re-checked against its
-histogram.  A mismatch raises GateFailure instead of returning a world.
+A count depends only on the translation class (k, d, l) with d = y - x:
+moving the cantus by x carries the fiber pool, the transported polarity and
+both species onto themselves.  So every world is built from its n^3 class
+table T[k][d][l] = count(0+ek -> d+el), computed from the n source
+intervals 0+ek, and expanded to the n^2 x n^2 count matrix.
+
+Every build is gated: the Fuxian world is computed by this engine and must
+reproduce its frozen histogram, worked steps and maximum; the mystic world's
+class table is the frozen step-class table, and the world is re-checked
+against its histogram.  A mismatch raises GateFailure instead of returning
+a world.
 """
 
 from __future__ import annotations
@@ -33,9 +40,9 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import sqrt
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .dichotomies import (
     FUX_HALF,
@@ -51,7 +58,7 @@ from .model_tables import (
     FUX_WORKED_STEPS,
     MYSTIC_MODEL_VARIANT,
     MYSTIC_SD_NOTE,
-    mystic_class_count,
+    MYSTIC_STEP_TABLE,
 )
 from .residue_algebra import (
     DualAffineMap,
@@ -193,16 +200,23 @@ def counterpoint_symmetries(d: Dichotomy, xi: DualNumber) -> list:
     return sorted(best)
 
 
-def step_count(d: Dichotomy, xi: DualNumber, eta: DualNumber) -> int:
-    """Number of symmetries of xi mapping a source-species interval onto eta."""
-    species = _species(d, xi.b)
-    n = d.modulus.n
-    total = 0
+def _pullbacks(d: Dichotomy, xi: DualNumber) -> list:
+    """(a, b, t) of g^-1 for every symmetry g of xi."""
+    out = []
     for g in counterpoint_symmetries(d, xi):
         gi = g.invert()
-        if (gi.a * eta.b + gi.b * eta.a + gi.t) % n in species:
-            total += 1
-    return total
+        out.append((gi.a, gi.b, gi.t))
+    return out
+
+
+def _pull_count(pulls: list, species: frozenset, n: int, y: int, l: int) -> int:
+    """How many pull-backs carry y+el to an interval in ``species``."""
+    return sum(1 for a, b, t in pulls if (a * l + b * y + t) % n in species)
+
+
+def step_count(d: Dichotomy, xi: DualNumber, eta: DualNumber) -> int:
+    """Number of symmetries of xi mapping a source-species interval onto eta."""
+    return _pull_count(_pullbacks(d, xi), _species(d, xi.b), d.modulus.n, eta.a, eta.b)
 
 
 class RestrictionMode(Enum):
@@ -252,104 +266,98 @@ class World:
 
     def successors(self, xi: DualNumber) -> list:
         """Valid successors of xi with their counts, sorted by (cantus, interval)."""
-        n = self.modulus.n
-        row = self.counts[n * xi.a + xi.b]
-        out = []
-        for col, c in enumerate(row):
-            if c:
-                out.append((DualNumber(col // n, col % n, self.modulus), c))
-        return out
+        return list(self._successor_rows[self.modulus.n * xi.a + xi.b])
 
+    @cached_property
+    def _successor_rows(self) -> tuple:
+        """Per row of ``counts``, its nonzero (interval, count) pairs in column order.
 
-def _histogram(counts: Sequence[bytes], pad_to: int) -> dict:
-    freq: Dict[int, int] = {}
-    top = pad_to
-    for row in counts:
-        for c in row:
-            freq[c] = freq.get(c, 0) + 1
-            if c > top:
-                top = c
-    return {c: freq.get(c, 0) for c in range(top + 1)}
-
-
-def _gate_histogram(observed: dict, expected: dict, label: str) -> None:
-    if observed != expected:
-        raise GateFailure(
-            f"{label} world failed its calibration gate: histogram {observed} "
-            f"!= expected {expected}"
+        Built on first use; ``dataclasses.replace`` does not carry it over.
+        Rows share one pair object per (column, count), which keeps the
+        table to about one pointer per valid step.
+        """
+        top = max(max(row) for row in self.counts)
+        pairs = [[(z, c) for c in range(top + 1)] for z in self.intervals()]
+        return tuple(
+            tuple(pairs[col][c] for col, c in enumerate(row) if c) for row in self.counts
         )
 
 
-def _engine_counts(d: Dichotomy) -> tuple:
+def _histogram(counts: Sequence[bytes], pad_to: int) -> dict:
+    flat = b"".join(counts)
+    return {c: flat.count(c) for c in range(max(max(flat), pad_to) + 1)}
+
+
+def _engine_class_table(d: Dichotomy) -> tuple:
+    """Slab k holds T[k][n*d + l] = count(0+ek -> d+el) as n^2 bytes."""
     n = d.modulus.n
+    slabs = []
+    for k in range(n):
+        pulls = _pullbacks(d, DualNumber(0, k, d.modulus))
+        species = _species(d, k)
+        slabs.append(
+            bytes(_pull_count(pulls, species, n, y, l) for y in range(n) for l in range(n))
+        )
+    return tuple(slabs)
+
+
+def _expand(slabs: Sequence[bytes], n: int) -> tuple:
+    """Count matrix rows from a class table: row (x, k) is slab k rotated by x blocks."""
     rows = []
     for x in range(n):
-        for k in range(n):
-            xi = DualNumber(x, k, d.modulus)
-            species = _species(d, k)
-            row = bytearray(n * n)
-            pulls = []
-            for g in counterpoint_symmetries(d, xi):
-                gi = g.invert()
-                pulls.append((gi.a, gi.b, gi.t))
-            for y in range(n):
-                for l in range(n):
-                    row[n * y + l] = sum(
-                        1 for (ga, gb, gt) in pulls if (ga * l + gb * y + gt) % n in species
-                    )
-            rows.append(bytes(row))
+        cut = n * (-x % n)
+        for slab in slabs:
+            rows.append(slab[cut:] + slab[:cut])
     return tuple(rows)
 
 
-def _table_counts(modulus: Modulus) -> tuple:
-    n = modulus.n
-    rows = []
-    for x in range(n):
-        for k in range(n):
-            row = bytearray(n * n)
-            for y in range(n):
-                d = (y - x) % n
-                for l in range(n):
-                    row[n * y + l] = mystic_class_count(k, d, l)
-            rows.append(bytes(row))
-    return tuple(rows)
+def _gate(label: str, n: int, counts: tuple, histogram: dict) -> None:
+    expected = EXPECTED_STEP_HISTOGRAMS[label]
+    if histogram != expected:
+        raise GateFailure(
+            f"{label} world failed its calibration gate: histogram {histogram} "
+            f"!= expected {expected}"
+        )
+    if label != "fux":
+        return
+    for ((x, k), (y, l)), want in FUX_WORKED_STEPS.items():
+        got = counts[n * x + k][n * y + l]
+        if got != want:
+            raise GateFailure(
+                f"fux world failed its calibration gate: step "
+                f"{x}+e{k} -> {y}+e{l} has count {got}, expected {want}"
+            )
+    if max(max(row) for row in counts) != FUX_MAX_STEP_COUNT:
+        raise GateFailure(
+            "fux world failed its calibration gate: maximum step count "
+            f"!= {FUX_MAX_STEP_COUNT}"
+        )
 
 
 def build_world(d: Dichotomy) -> World:
     """Build the full count matrix and histogram for a strong dichotomy.
 
-    The two presets are validated against their frozen fingerprints
-    (GateFailure on mismatch); other strong dichotomies are computed by the
-    engine without a calibration gate.
+    The class table comes from the engine, or for the mystic preset from the
+    frozen step-class table; the matrix is its expansion.  The two presets
+    are validated against their frozen fingerprints (GateFailure on
+    mismatch); other strong dichotomies are computed by the engine without
+    a calibration gate.
     """
     _polarity_or_raise(d)
     n = d.modulus.n
-    if n == 12 and d.half == FUX_HALF:
-        counts = _engine_counts(d)
-        expected = EXPECTED_STEP_HISTOGRAMS["fux"]
-        histogram = _histogram(counts, pad_to=max(expected))
-        _gate_histogram(histogram, expected, "fux")
-        for ((x, k), (y, l)), want in FUX_WORKED_STEPS.items():
-            got = counts[n * x + k][n * y + l]
-            if got != want:
-                raise GateFailure(
-                    f"fux world failed its calibration gate: step "
-                    f"{x}+e{k} -> {y}+e{l} has count {got}, expected {want}"
-                )
-        if max(max(row) for row in counts) != FUX_MAX_STEP_COUNT:
-            raise GateFailure(
-                "fux world failed its calibration gate: maximum step count "
-                f"!= {FUX_MAX_STEP_COUNT}"
-            )
-        return World(d, "fux", FUX_MODEL_VARIANT, counts, histogram)
     if n == 12 and d.half == MYSTIC_HALF:
-        counts = _table_counts(d.modulus)
-        expected = EXPECTED_STEP_HISTOGRAMS["mystic"]
-        histogram = _histogram(counts, pad_to=max(expected))
-        _gate_histogram(histogram, expected, "mystic")
-        return World(d, "mystic", MYSTIC_MODEL_VARIANT, counts, histogram)
-    counts = _engine_counts(d)
-    return World(d, d.render(), FUX_MODEL_VARIANT, counts, _histogram(counts, 0))
+        label, variant = "mystic", MYSTIC_MODEL_VARIANT
+        slabs = tuple(bytes(MYSTIC_STEP_TABLE[n * n * k : n * n * (k + 1)]) for k in range(n))
+    else:
+        label = "fux" if n == 12 and d.half == FUX_HALF else d.render()
+        variant = FUX_MODEL_VARIANT
+        slabs = _engine_class_table(d)
+    counts = _expand(slabs, n)
+    expected = EXPECTED_STEP_HISTOGRAMS.get(label)
+    histogram = _histogram(counts, pad_to=max(expected) if expected else 0)
+    if expected:
+        _gate(label, n, counts, histogram)
+    return World(d, label, variant, counts, histogram)
 
 
 @dataclass(frozen=True)
@@ -477,17 +485,23 @@ class WalkResult:
 def walk(w: World, start: DualNumber, length: int, seed: int) -> WalkResult:
     """Seed-deterministic random walk over valid steps.
 
-    Raises DeadEnd when the start itself has no valid successor; a dead end
-    reached later stops the walk early and is reported in the result.
+    Raises ValueError for a negative length and DeadEnd when the start
+    itself has no valid successor; a dead end reached later stops the walk
+    early and is reported in the result.
     """
+    if length < 0:
+        raise ValueError(f"walk length must be non-negative, got {length}")
     if start.modulus != w.modulus:
         raise ModulusMismatch("start interval and world moduli differ")
-    if not w.successors(start):
+    n = w.modulus.n
+    rows = w._successor_rows
+    if not rows[n * start.a + start.b]:
         raise DeadEnd(f"interval {start.render()} has no valid successor")
     rng = random.Random(seed)
     path = [start]
     for i in range(length):
-        options = w.successors(path[-1])
+        xi = path[-1]
+        options = rows[n * xi.a + xi.b]
         if not options:
             return WalkResult(tuple(path), False, i)
         path.append(rng.choice(options)[0])

@@ -11,10 +11,3 @@ def fux_world():
 @pytest.fixture(scope="session")
 def mystic_world():
     return build_world(Dichotomy.mystic())
-
-
-@pytest.fixture()
-def cache_dir(tmp_path, monkeypatch):
-    path = tmp_path / "cache"
-    monkeypatch.setenv("COUNTERPOINT_CACHE_DIR", str(path))
-    return path

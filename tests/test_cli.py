@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -25,7 +26,7 @@ def run(capsys, *argv):
 
 
 class TestWorldsTable:
-    def test_text_output(self, capsys, cache_dir):
+    def test_text_output(self, capsys):
         code, out, _ = run(
             capsys, "worlds", "table", "--dichotomy", "fux", "--output", "TEXT"
         )
@@ -36,7 +37,7 @@ class TestWorldsTable:
         for line in ("0           6720", "5           864"):
             assert line in out
 
-    def test_json_output(self, capsys, cache_dir):
+    def test_json_output(self, capsys):
         code, out, _ = run(
             capsys, "worlds", "table", "--dichotomy", "mystic", "--output", "JSON"
         )
@@ -53,7 +54,7 @@ class TestWorldsTable:
         assert payload["moments"]["mean"]["fraction"] == "19/36"
         assert "1.9026" in payload["note"]
 
-    def test_json_is_byte_identical_across_runs(self, capsys, cache_dir):
+    def test_json_is_byte_identical_across_runs(self, capsys):
         _, first, _ = run(
             capsys, "worlds", "table", "--dichotomy", "fux", "--output", "JSON"
         )
@@ -62,7 +63,7 @@ class TestWorldsTable:
         )
         assert first == second
 
-    def test_csv_output(self, capsys, cache_dir, mystic_world):
+    def test_csv_output(self, capsys, mystic_world):
         from counterpoint import world_histogram_csv
 
         code, out, _ = run(
@@ -71,21 +72,21 @@ class TestWorldsTable:
         assert code == 0
         assert out == world_histogram_csv(mystic_world)
 
-    def test_weak_dichotomy_is_model_error(self, capsys, cache_dir):
+    def test_weak_dichotomy_is_model_error(self, capsys):
         code, _, err = run(
             capsys, "worlds", "table", "--dichotomy", "0,2,4,6,8,10"
         )
         assert code == 3
         assert "error:" in err
 
-    def test_malformed_dichotomy_is_input_error(self, capsys, cache_dir):
+    def test_malformed_dichotomy_is_input_error(self, capsys):
         code, _, err = run(capsys, "worlds", "table", "--dichotomy", "0,1,zwei")
         assert code == 2
         assert "error:" in err
 
 
 class TestWorldsExport:
-    def test_matrix_export(self, capsys, cache_dir):
+    def test_matrix_export(self, capsys):
         code, out, _ = run(
             capsys, "worlds", "export", "--dichotomy", "fux", "--what", "matrix"
         )
@@ -95,7 +96,7 @@ class TestWorldsExport:
         assert lines[0] == "from,to,count"
         assert "0+e3,2+e4,2" in lines
 
-    def test_histogram_export(self, capsys, cache_dir):
+    def test_histogram_export(self, capsys):
         code, out, _ = run(
             capsys, "worlds", "export", "--dichotomy", "mystic", "--what", "histogram"
         )
@@ -105,14 +106,14 @@ class TestWorldsExport:
 
 
 class TestStep:
-    def test_worked_step_text(self, capsys, cache_dir):
+    def test_worked_step_text(self, capsys):
         code, out, _ = run(
             capsys, "step", "--dichotomy", "fux", "--from", "0+e3", "--to", "2+e4"
         )
         assert code == 0
         assert out.strip() == "0+e3>2+e4: 2"
 
-    def test_forbidden_step_json(self, capsys, cache_dir):
+    def test_forbidden_step_json(self, capsys):
         code, out, _ = run(
             capsys,
             "step", "--dichotomy", "fux", "--from", "0+e7", "--to", "2+e7",
@@ -123,7 +124,7 @@ class TestStep:
         assert payload["count"] == 0
         assert payload["from"] == "0+e7"
 
-    def test_malformed_interval(self, capsys, cache_dir):
+    def test_malformed_interval(self, capsys):
         code, _, err = run(
             capsys, "step", "--dichotomy", "fux", "--from", "nonsense", "--to", "2+e4"
         )
@@ -132,7 +133,7 @@ class TestStep:
 
 
 class TestCompare:
-    def test_text_output(self, capsys, cache_dir):
+    def test_text_output(self, capsys):
         code, out, _ = run(capsys, "compare", "--a", "fux", "--b", "mystic")
         assert code == 0
         assert "p_a  = 14016/20736 = 0.6759" in out
@@ -140,7 +141,7 @@ class TestCompare:
         assert "p_ab = 2976/20736 = 0.1435" in out
         assert "independence gap" in out and "0.0067" in out
 
-    def test_json_output(self, capsys, cache_dir):
+    def test_json_output(self, capsys):
         code, out, _ = run(
             capsys, "compare", "--a", "fux", "--b", "mystic", "--output", "JSON"
         )
@@ -157,7 +158,7 @@ class TestAnalyze:
         path.write_text(TWO_VOICE_SCORE + "\n", encoding="utf-8")
         return path
 
-    def test_full_pipeline_text(self, capsys, cache_dir, score_file):
+    def test_full_pipeline_text(self, capsys, score_file):
         code, out, _ = run(
             capsys,
             "analyze", "--file", str(score_file), "--format", "TWO_VOICE",
@@ -169,7 +170,7 @@ class TestAnalyze:
         assert "effect size d:" in out
         assert "chi-square:" in out and "df 5" in out
 
-    def test_full_pipeline_json(self, capsys, cache_dir, score_file):
+    def test_full_pipeline_json(self, capsys, score_file):
         code, out, _ = run(
             capsys,
             "analyze", "--file", str(score_file), "--format", "TWO_VOICE",
@@ -185,7 +186,7 @@ class TestAnalyze:
         assert payload["chi_square"]["df"] == 5
         assert payload["sample"]["n"] == 3
 
-    def test_json_is_byte_identical_across_runs(self, capsys, cache_dir, score_file):
+    def test_json_is_byte_identical_across_runs(self, capsys, score_file):
         args = (
             "analyze", "--file", str(score_file), "--format", "TWO_VOICE",
             "--world", "fux", "--output", "JSON",
@@ -194,7 +195,7 @@ class TestAnalyze:
         _, second, _ = run(capsys, *args)
         assert first == second
 
-    def test_fixed_cantus_policy(self, capsys, cache_dir, tmp_path):
+    def test_fixed_cantus_policy(self, capsys, tmp_path):
         path = tmp_path / "drone.csv"
         rows = ["measure,beat,pitch"] + [
             f"1,{i + 1},{p}" for i, p in enumerate([63, 64, 67, 69, 64])
@@ -211,7 +212,7 @@ class TestAnalyze:
         assert payload["policy"] == "FIXED_CANTUS(0)"
         assert payload["transition_count"] == 4
 
-    def test_fixed_policy_requires_pitch_class(self, capsys, cache_dir, score_file):
+    def test_fixed_policy_requires_pitch_class(self, capsys, score_file):
         code, _, err = run(
             capsys,
             "analyze", "--file", str(score_file), "--format", "TWO_VOICE",
@@ -220,7 +221,7 @@ class TestAnalyze:
         assert code == 2
         assert "cantus-pc" in err
 
-    def test_missing_file(self, capsys, cache_dir, tmp_path):
+    def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
             "analyze", "--file", str(tmp_path / "absent.csv"),
@@ -229,7 +230,7 @@ class TestAnalyze:
         assert code == 2
         assert "error:" in err
 
-    def test_unordered_score(self, capsys, cache_dir, tmp_path):
+    def test_unordered_score(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("measure,beat,pitch\n2,1,60\n1,1,62\n", encoding="utf-8")
         code, _, err = run(
@@ -270,7 +271,7 @@ class TestNoll:
 
 
 class TestScaleReport:
-    def test_cantus_only(self, capsys, cache_dir):
+    def test_cantus_only(self, capsys):
         code, out, _ = run(
             capsys,
             "scale-report", "--dichotomy", "mystic",
@@ -280,7 +281,7 @@ class TestScaleReport:
         assert "forbidden classes (k, d, l): 8" in out
         assert "forbidden steps: 48" in out
 
-    def test_both_voices_json(self, capsys, cache_dir):
+    def test_both_voices_json(self, capsys):
         code, out, _ = run(
             capsys,
             "scale-report", "--dichotomy", "mystic",
@@ -296,7 +297,7 @@ class TestScaleReport:
 
 
 class TestWalk:
-    def test_deterministic_json(self, capsys, cache_dir):
+    def test_deterministic_json(self, capsys):
         args = (
             "walk", "--dichotomy", "fux", "--start", "0+e3",
             "--length", "12", "--seed", "7", "--output", "JSON",
@@ -310,51 +311,20 @@ class TestWalk:
         assert len(payload["path"]) == 13
         assert payload["path"][0] == "0+e3"
 
-    def test_dead_end_start_is_model_error(self, capsys, cache_dir):
+    def test_dead_end_start_is_model_error(self, capsys):
         code, _, err = run(
             capsys, "walk", "--dichotomy", "mystic", "--start", "0+e3"
         )
         assert code == 3
         assert "no valid successor" in err
 
-
-class TestCache:
-    def test_cache_file_created_and_reused(self, capsys, cache_dir):
-        run(capsys, "step", "--dichotomy", "fux", "--from", "0+e3", "--to", "2+e4")
-        files = list(cache_dir.glob("world-n12-*.json"))
-        assert len(files) == 1
-        stamp = files[0].stat().st_mtime_ns
-        code, out, _ = run(
-            capsys, "step", "--dichotomy", "fux", "--from", "0+e3", "--to", "2+e4"
+    def test_negative_length_is_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "walk", "--dichotomy", "fux", "--start", "0+e3", "--length", "-5"
         )
-        assert code == 0 and out.strip().endswith(": 2")
-        assert files[0].stat().st_mtime_ns == stamp  # reused, not rewritten
-
-    def test_unreadable_cache_is_rebuilt(self, capsys, cache_dir):
-        run(capsys, "step", "--dichotomy", "fux", "--from", "0+e3", "--to", "2+e4")
-        (path,) = cache_dir.glob("world-n12-*.json")
-        path.write_text("{not json", encoding="utf-8")
-        code, out, _ = run(
-            capsys, "step", "--dichotomy", "fux", "--from", "0+e3", "--to", "2+e4"
-        )
-        assert code == 0
-        assert out.strip() == "0+e3>2+e4: 2"
-        assert json.loads(path.read_text())  # rewritten with valid payload
-
-    def test_tampered_cache_trips_the_gate(self, capsys, cache_dir):
-        run(capsys, "step", "--dichotomy", "fux", "--from", "0+e3", "--to", "2+e4")
-        (path,) = cache_dir.glob("world-n12-*.json")
-        payload = json.loads(path.read_text())
-        row = payload["counts"][0]
-        original = row[0]
-        replacement = "1" if original != "1" else "2"
-        payload["counts"][0] = replacement + row[1:]
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        code, _, err = run(
-            capsys, "step", "--dichotomy", "fux", "--from", "0+e3", "--to", "2+e4"
-        )
-        assert code == 4
-        assert "error:" in err
+        assert code == 2
+        assert out == ""
+        assert "non-negative" in err
 
 
 class TestEntryPoints:
@@ -366,12 +336,15 @@ class TestEntryPoints:
         out = capsys.readouterr().out
         assert "counterpoint" in out
 
-    def test_console_script(self, tmp_path):
+    def test_console_script(self):
+        env = {"PATH": "/usr/bin:/bin"}
+        if "PYTHONPATH" in os.environ:
+            env["PYTHONPATH"] = os.environ["PYTHONPATH"]
         result = subprocess.run(
             [sys.executable, "-m", "counterpoint.cli_reports", "noll", "0,4,7"],
             capture_output=True,
             text=True,
-            env={"COUNTERPOINT_CACHE_DIR": str(tmp_path), "PATH": "/usr/bin:/bin"},
+            env=env,
         )
         assert result.returncode == 0
         assert "strong verdict: True" in result.stdout

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
@@ -315,6 +317,38 @@ class TestWalk:
         assert result.completed
         assert result.steps_taken == 0
 
+    def test_negative_length_rejected(self, fux_world):
+        with pytest.raises(ValueError):
+            walk(fux_world, DualNumber(0, 3), -1, seed=1)
+
+    @pytest.mark.parametrize(
+        "world, start, path",
+        [
+            ("fux", "0+e3",
+             "0+e3 5+e8 11+e6 1+e9 6+e9 11+e4 0+e9 1+e4 9+e9 1+e9 6+e3 10+e3 0+e11"),
+            ("mystic", "0+e0",
+             "0+e0 6+e11 3+e2 7+e8 1+e0 3+e2 11+e4 3+e0 9+e2 11+e11 1+e2 11+e0 5+e4"),
+        ],
+    )
+    def test_golden_short_path(self, request, world, start, path):
+        w = request.getfixturevalue(f"{world}_world")
+        result = walk(w, DualNumber.parse(start), 12, seed=7)
+        assert " ".join(z.render() for z in result.path) == path
+
+    @pytest.mark.parametrize(
+        "world, start, digest",
+        [
+            ("fux", "0+e3", "97bd6095cce51dc477153f5a4b1570e24aaca61e206aa6f75fb956289d0207d3"),
+            ("mystic", "0+e0", "e6168ab905053ad3ad97cd2e41b5cd692f17be93dd725fbc081a94a3e1cacd3c"),
+        ],
+    )
+    def test_golden_long_path_digest(self, request, world, start, digest):
+        """Paths are frozen across versions: a seed picks the same walk forever."""
+        w = request.getfixturevalue(f"{world}_world")
+        result = walk(w, DualNumber.parse(start), 4096, seed=11)
+        text = " ".join(z.render() for z in result.path)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_seed_determinism(self, fux_world):
         a = walk(fux_world, DualNumber(0, 3), 40, seed=17)
         b = walk(fux_world, DualNumber(0, 3), 40, seed=17)
@@ -330,6 +364,17 @@ class TestWalk:
         assert mystic_world.successors(DualNumber(0, 3)) == []
         with pytest.raises(DeadEnd):
             walk(mystic_world, DualNumber(0, 3), 5, seed=0)
+
+    def test_successors_follow_replaced_counts(self, fux_world):
+        xi = DualNumber(0, 3)
+        assert fux_world.successors(xi)  # fills the successor table
+        rows = list(fux_world.counts)
+        rows[3] = bytes(144)
+        cleared = dataclasses.replace(fux_world, counts=tuple(rows))
+        assert cleared.successors(xi) == []
+        assert fux_world.successors(xi)
+        with pytest.raises(DeadEnd):
+            walk(cleared, xi, 1, seed=0)
 
     def test_mid_walk_dead_end_is_reported_not_raised(self, mystic_world):
         saw_early_stop = False
