@@ -49,7 +49,6 @@ from .dichotomies import (
 from .worlds import (
     DeadEnd,
     GateFailure,
-    LocalPolarity,
     RestrictionMode,
     ScaleRestrictionReport,
     WalkResult,

@@ -105,16 +105,9 @@ def _tool_header() -> dict:
 def _jsonable(value):
     if isinstance(value, Fraction):
         return {"fraction": f"{value.numerator}/{value.denominator}", "value": float(value)}
-    if isinstance(value, DualNumber):
-        return value.render()
     if isinstance(value, Enum):
         return value.value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        if hasattr(value, "render") and callable(value.render):
-            try:
-                return value.render()
-            except TypeError:
-                pass
         return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}

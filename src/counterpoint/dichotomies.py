@@ -170,37 +170,46 @@ def classify(d: Dichotomy) -> DichotomyClass:
     return DichotomyClass(canonical, len(orbit), alias)
 
 
+def _half_set_orbits(modulus: Modulus) -> dict:
+    """Canonical representative -> orbit, over every affine class of half-sets.
+
+    Half-sets are walked in lexicographic order, skipping those already seen,
+    so each orbit is enumerated once, from its minimum: the canonical
+    representative.
+    """
+    visited: set = set()
+    orbits: dict = {}
+    for half in combinations(modulus.residues(), modulus.n // 2):
+        hs = frozenset(half)
+        if hs not in visited:
+            orbits[half] = _orbit(hs, modulus)
+            visited |= orbits[half]
+    return orbits
+
+
 def strong_atlas(modulus: Modulus = Modulus()) -> list:
     """Group all C(n, n/2) half-sets into affine classes; return the strong ones.
 
-    A class is strong iff its members have trivial stabilizer (class-wide
-    property, checked on the canonical representative).
+    Strength is read from the orbit by orbit-stabilizer: the stabilizer is
+    trivial iff the orbit has all n*phi(n) images, and then exactly one map
+    swaps the halves iff the complement lies in the orbit.
     """
-    seen: dict = {}
-    for half in combinations(modulus.residues(), modulus.n // 2):
-        hs = frozenset(half)
-        canonical = _canonical(hs, modulus)
-        if canonical not in seen:
-            orbit = _orbit(frozenset(canonical), modulus)
-            seen[canonical] = len(orbit)
-    strong = []
-    for canonical, orbit_size in sorted(seen.items()):
-        cert = strength(Dichotomy(frozenset(canonical), modulus))
-        if cert.is_strong:
-            alias = _CLASS_ALIASES.get(canonical) if modulus.n == 12 else None
-            strong.append(DichotomyClass(canonical, orbit_size, alias))
-    return strong
+    group_order = modulus.n * len(modulus.units())
+    residues = frozenset(modulus.residues())
+    return [
+        DichotomyClass(
+            canonical,
+            len(orbit),
+            _CLASS_ALIASES.get(canonical) if modulus.n == 12 else None,
+        )
+        for canonical, orbit in _half_set_orbits(modulus).items()
+        if len(orbit) == group_order and residues - frozenset(canonical) in orbit
+    ]
 
 
 def all_class_orbit_sizes(modulus: Modulus = Modulus()) -> dict:
     """Canonical representative -> orbit size, over every half-set class."""
-    seen: dict = {}
-    for half in combinations(modulus.residues(), modulus.n // 2):
-        hs = frozenset(half)
-        canonical = _canonical(hs, modulus)
-        if canonical not in seen:
-            seen[canonical] = len(_orbit(hs, modulus))
-    return seen
+    return {c: len(orbit) for c, orbit in _half_set_orbits(modulus).items()}
 
 
 @dataclass(frozen=True)

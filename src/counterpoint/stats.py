@@ -203,6 +203,8 @@ def effect_size(
     sample: SampleSummary, pop: PopulationSpec, alpha: float = 0.10
 ) -> EffectSizeResult:
     """Standardized deviation d = (sample mean - mu)/sigma with CI d +- z/sqrt(n)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     if pop.sd == 0:
         raise DegeneratePopulation("population sd is zero")
     d = float((sample.mean - pop.mean)) / pop.sd

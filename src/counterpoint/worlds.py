@@ -76,28 +76,6 @@ class DeadEnd(RuntimeError):
     """The walk's start interval has no valid successor."""
 
 
-@dataclass(frozen=True)
-class LocalPolarity:
-    """The polarity transported to cantus x: (c + em) -> (vc + (1-v)x) + e(vm + u).
-
-    It swaps the marked and unmarked interval species while fixing the
-    cantus x itself, and is an involution on all n^2 dual numbers.
-    """
-
-    cantus: int
-    map: DualAffineMap
-
-    @property
-    def modulus(self) -> Modulus:
-        return self.map.modulus
-
-    def apply(self, z: DualNumber) -> DualNumber:
-        return self.map.apply(z)
-
-    def apply_pair(self, base: int, eps: int) -> tuple:
-        return self.map.apply_pair(base, eps)
-
-
 @lru_cache(maxsize=None)
 def _certificate(d: Dichotomy):
     return strength(d)
@@ -113,16 +91,19 @@ def _polarity_or_raise(d: Dichotomy):
     return cert.polarity
 
 
-def local_polarity(d: Dichotomy, x: int) -> LocalPolarity:
-    """Transport the polarity e^u.v of a strong dichotomy to cantus x."""
+def local_polarity(d: Dichotomy, x: int) -> DualAffineMap:
+    """Transport the polarity e^u.v of a strong dichotomy to cantus x.
+
+    The result (c + em) -> (vc + (1-v)x) + e(vm + u) swaps the marked and
+    unmarked interval species while fixing the cantus x itself, and is an
+    involution on all n^2 dual numbers.
+    """
     p = _polarity_or_raise(d)
     n = d.modulus.n
-    x = d.modulus.reduce(x)
-    m = DualAffineMap(p.v, 0, (1 - p.v) * x % n, p.u, d.modulus)
-    return LocalPolarity(x, m)
+    return DualAffineMap(p.v, 0, (1 - p.v) * x % n, p.u, d.modulus)
 
 
-def commutes_pointwise(g: DualAffineMap, pol: LocalPolarity) -> bool:
+def commutes_pointwise(g: DualAffineMap, pol: DualAffineMap) -> bool:
     """Check g(pol(z)) == pol(g(z)) on all n^2 dual numbers (early exit)."""
     n = g.modulus.n
     for c in range(n):
@@ -135,9 +116,9 @@ def commutes_pointwise(g: DualAffineMap, pol: LocalPolarity) -> bool:
     return True
 
 
-def commutes_algebraic(g: DualAffineMap, pol: LocalPolarity) -> bool:
+def commutes_algebraic(g: DualAffineMap, pol: DualAffineMap) -> bool:
     """Check commutation by composing the two maps symbolically."""
-    return g.compose(pol.map) == pol.map.compose(g)
+    return g.compose(pol) == pol.compose(g)
 
 
 def _species(d: Dichotomy, k: int) -> frozenset:

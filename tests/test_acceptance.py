@@ -378,7 +378,7 @@ def test_criterion_9_property_suites(fux_world, mystic_world, verdict):
             local = local_polarity(d, x)
             _check(
                 failures,
-                local.map.compose(local.map).is_identity,
+                local.compose(local).is_identity,
                 f"local polarity at cantus {x} not involutive",
             )
 

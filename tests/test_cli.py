@@ -212,6 +212,17 @@ class TestAnalyze:
         assert payload["policy"] == "FIXED_CANTUS(0)"
         assert payload["transition_count"] == 4
 
+    @pytest.mark.parametrize("alpha", ["0", "1.5"])
+    def test_alpha_outside_unit_interval_is_input_error(self, capsys, score_file, alpha):
+        code, out, err = run(
+            capsys,
+            "analyze", "--file", str(score_file), "--format", "TWO_VOICE",
+            "--world", "fux", "--alpha", alpha,
+        )
+        assert code == 2
+        assert out == ""
+        assert "alpha" in err
+
     def test_fixed_policy_requires_pitch_class(self, capsys, score_file):
         code, _, err = run(
             capsys,

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -134,6 +135,31 @@ class TestAtlas:
         aliases = {cls.alias for cls in strong_atlas()}
         assert "78 (mystic)" in aliases
         assert "Fux" in aliases
+
+    # (classes, strong classes) of half-sets of Z_n under the affine group.
+    CLASS_COUNTS = {4: (2, 0), 6: (3, 1), 8: (6, 1), 10: (9, 3), 12: (34, 6), 14: (47, 9), 16: (129, 15)}
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14])
+    def test_atlas_agrees_with_strength_and_classify(self, n):
+        modulus = Modulus(n)
+        sizes = all_class_orbit_sizes(modulus)
+        atlas = strong_atlas(modulus)
+        strong = [
+            c for c in sizes if strength(Dichotomy(frozenset(c), modulus)).is_strong
+        ]
+        assert [cls.canonical_representative for cls in atlas] == strong
+        for c, size in sizes.items():
+            cls = classify(Dichotomy(frozenset(c), modulus))
+            assert (cls.canonical_representative, cls.orbit_size) == (c, size)
+        assert all(cls.orbit_size == sizes[cls.canonical_representative] for cls in atlas)
+        assert sum(sizes.values()) == comb(n, n // 2)
+        assert list(sizes) == sorted(sizes)
+
+    @pytest.mark.parametrize("n", sorted(CLASS_COUNTS))
+    def test_class_counts(self, n):
+        modulus = Modulus(n)
+        counts = (len(all_class_orbit_sizes(modulus)), len(strong_atlas(modulus)))
+        assert counts == self.CLASS_COUNTS[n]
 
 
 class TestChordEndomorphisms:

@@ -165,6 +165,12 @@ class TestEffectSize:
         with pytest.raises(DegeneratePopulation):
             effect_size(SampleSummary.from_moments(10, Fraction(3)), pop)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        pop = PopulationSpec.from_histogram(FUX_HISTOGRAM)
+        with pytest.raises(ValueError, match="alpha"):
+            effect_size(SampleSummary.from_moments(30, Fraction(2)), pop, alpha)
+
 
 class TestChiSquareGof:
     def test_perfect_fit(self):

@@ -5,13 +5,24 @@ n in {6, 8, 10, 12, 14} and checks the stored matrix against independent
 recomputations: the engine's step count at the true cantus (the frozen
 class table for the mystic preset), a plain recount
 of the histogram, and a nonzero scan of each row for the successors.
+The local polarity is checked exhaustively over every strong class and
+cantus at the same moduli.
 """
 
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from counterpoint import Dichotomy, DualNumber, Modulus, build_world, step_count, strong_atlas
+from counterpoint import (
+    Dichotomy,
+    DualNumber,
+    Modulus,
+    build_world,
+    local_polarity,
+    step_count,
+    strong_atlas,
+)
 from counterpoint.model_tables import mystic_class_count
 
 MODULI = (6, 8, 10, 12, 14)
@@ -77,3 +88,17 @@ def test_successors_are_the_nonzero_scan_of_the_row(w):
         assert got == scan
         got.clear()  # a fresh list: the caller may change it
         assert w.successors(xi) == scan
+
+
+@pytest.mark.parametrize("n", MODULI)
+def test_local_polarity_is_an_involution_swapping_species_at_every_cantus(n):
+    modulus = Modulus(n)
+    for rep in strong_representatives(n):
+        d = Dichotomy(frozenset(rep), modulus)
+        for x in range(n):
+            pol = local_polarity(d, x)
+            assert pol.compose(pol).is_identity
+            for m in range(n):
+                base, eps = pol.apply_pair(x, m)
+                assert base == x
+                assert (eps in d.half) != (m in d.half)
