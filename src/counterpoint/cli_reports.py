@@ -11,11 +11,13 @@ Commands
   scale-report    forbidden steps of a world inside a scale
   walk            seeded random walk over valid steps
 
-Output is TEXT (4-decimal rendering), JSON (full precision, sorted keys,
-no timestamps — byte-identical across reruns of the same tool version), or
-CSV where tabular.  Exit codes: 0 success, 2 input error, 3 model error,
-4 calibration-gate failure.  Every run builds its worlds from scratch, so
-the calibration gate runs on every preset world a command uses.
+Every command builds one report: its TEXT lines, its JSON payload and, where
+tabular, its CSV.  ``main`` picks the form named by ``--output`` and one
+emitter, ``_emit``, writes it to stdout.  TEXT renders at 4 decimals; JSON
+is full precision with sorted keys and no timestamps — byte-identical across
+reruns of the same tool version.  Exit codes: 0 success, 2 input error,
+3 model error, 4 calibration-gate failure.  Every run builds its worlds from
+scratch, so the calibration gate runs on every preset world a command uses.
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ import os
 import sys
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from typing import List, Optional
 
+from . import __version__
 from .dichotomies import (
     Dichotomy,
     NotStrong,
@@ -92,16 +96,6 @@ _MODEL_ERRORS = (
 )
 
 
-def _version() -> str:
-    from counterpoint import __version__
-
-    return __version__
-
-
-def _tool_header() -> dict:
-    return {"name": "counterpoint", "version": _version()}
-
-
 def _jsonable(value):
     if isinstance(value, Fraction):
         return {"fraction": f"{value.numerator}/{value.denominator}", "value": float(value)}
@@ -116,10 +110,15 @@ def _jsonable(value):
     return value
 
 
-def _emit_json(payload: dict) -> None:
-    body = {"tool": _tool_header()}
-    body.update(payload)
-    sys.stdout.write(json.dumps(_jsonable(body), sort_keys=True, indent=2) + "\n")
+def _emit(form: str, report: dict) -> None:
+    """Write one form of a command's report to stdout: the only output path."""
+    body = report[form]
+    if form == "JSON":
+        tool = {"name": "counterpoint", "version": __version__}
+        body = json.dumps(_jsonable({"tool": tool, **body}), sort_keys=True, indent=2) + "\n"
+    elif form == "TEXT":
+        body = "".join(line + "\n" for line in body)
+    sys.stdout.write(body)
 
 
 def _f4(x) -> str:
@@ -145,110 +144,95 @@ def load_world(d: Dichotomy) -> World:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its report as {"TEXT": lines, "JSON": payload, ...}
 
 
-def cmd_worlds_table(args) -> int:
+def cmd_worlds_table(args) -> dict:
     world = load_world(Dichotomy.parse(args.dichotomy))
     moments = world_moments(world)
-    if args.output == "CSV":
-        sys.stdout.write(world_histogram_csv(world))
-        return EXIT_OK
-    if args.output == "JSON":
-        _emit_json(
-            {
-                "command": "worlds table",
-                "world": world.label,
-                "dichotomy": world.dichotomy.render(),
-                "model_variant": world.variant,
-                "histogram": {str(k): v for k, v in sorted(world.histogram.items())},
-                "moments": {
-                    "mean": moments.mean,
-                    "variance": moments.variance,
-                    "sd": moments.sd,
-                },
-                "note": moments.note,
-            }
-        )
-        return EXIT_OK
-    print(f"world: {world.label} ({world.dichotomy.render()})")
-    print(f"model-variant: {world.variant}")
-    print("symmetries  steps")
-    for c in sorted(world.histogram):
-        print(f"{c:<11d} {world.histogram[c]}")
-    print(f"mean: {_f4(moments.mean)} ({_frac(moments.mean)})  sd: {_f4(moments.sd)}")
+    text = [
+        f"world: {world.label} ({world.dichotomy.render()})",
+        f"model-variant: {world.variant}",
+        "symmetries  steps",
+        *(f"{c:<11d} {world.histogram[c]}" for c in sorted(world.histogram)),
+        f"mean: {_f4(moments.mean)} ({_frac(moments.mean)})  sd: {_f4(moments.sd)}",
+    ]
     if moments.note:
-        print(f"note: {moments.note}")
-    return EXIT_OK
+        text.append(f"note: {moments.note}")
+    return {
+        "TEXT": text,
+        "JSON": {
+            "command": "worlds table",
+            "world": world.label,
+            "dichotomy": world.dichotomy.render(),
+            "model_variant": world.variant,
+            "histogram": {str(k): v for k, v in sorted(world.histogram.items())},
+            "moments": {"mean": moments.mean, "variance": moments.variance, "sd": moments.sd},
+            "note": moments.note,
+        },
+        "CSV": world_histogram_csv(world),
+    }
 
 
-def cmd_worlds_export(args) -> int:
+def cmd_worlds_export(args) -> dict:
     world = load_world(Dichotomy.parse(args.dichotomy))
-    if args.what == "matrix":
-        sys.stdout.write(world_matrix_csv(world))
-    else:
-        sys.stdout.write(world_histogram_csv(world))
-    return EXIT_OK
+    export = world_matrix_csv if args.what == "matrix" else world_histogram_csv
+    return {"CSV": export(world)}
 
 
-def cmd_step(args) -> int:
+def cmd_step(args) -> dict:
     world = load_world(Dichotomy.parse(args.dichotomy))
     src = DualNumber.parse(args.src)
     dst = DualNumber.parse(args.dst)
     count = world.count(src, dst)
-    if args.output == "JSON":
-        _emit_json(
-            {
-                "command": "step",
-                "world": world.label,
-                "model_variant": world.variant,
-                "from": src.render(),
-                "to": dst.render(),
-                "count": count,
-            }
-        )
-    else:
-        print(f"{src.render()}>{dst.render()}: {count}")
-    return EXIT_OK
+    return {
+        "TEXT": [f"{src.render()}>{dst.render()}: {count}"],
+        "JSON": {
+            "command": "step",
+            "world": world.label,
+            "model_variant": world.variant,
+            "from": src.render(),
+            "to": dst.render(),
+            "count": count,
+        },
+    }
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> dict:
     world_a = load_world(Dichotomy.parse(args.a))
     world_b = load_world(Dichotomy.parse(args.b))
     overlap = world_overlap(world_a, world_b)
-    if args.output == "JSON":
-        _emit_json(
-            {
-                "command": "compare",
-                "a": world_a.label,
-                "b": world_b.label,
-                "p_a": overlap.p_a,
-                "p_b": overlap.p_b,
-                "p_ab": overlap.p_ab,
-                "gap": overlap.gap,
-            }
-        )
-        return EXIT_OK
     total = world_a.total_steps
-    print(f"worlds: {world_a.label} vs {world_b.label}")
-    print(f"p_a  = {world_a.valid_step_count}/{total} = {_f4(overlap.p_a)}")
-    print(f"p_b  = {world_b.valid_step_count}/{total} = {_f4(overlap.p_b)}")
-    p_ab_steps = int(overlap.p_ab * total)
-    print(f"p_ab = {p_ab_steps}/{total} = {_f4(overlap.p_ab)}")
-    print(f"independence gap |p_ab - p_a*p_b| = {_f4(overlap.gap)}")
-    return EXIT_OK
+    return {
+        "TEXT": [
+            f"worlds: {world_a.label} vs {world_b.label}",
+            f"p_a  = {world_a.valid_step_count}/{total} = {_f4(overlap.p_a)}",
+            f"p_b  = {world_b.valid_step_count}/{total} = {_f4(overlap.p_b)}",
+            f"p_ab = {int(overlap.p_ab * total)}/{total} = {_f4(overlap.p_ab)}",
+            f"independence gap |p_ab - p_a*p_b| = {_f4(overlap.gap)}",
+        ],
+        "JSON": {
+            "command": "compare",
+            "a": world_a.label,
+            "b": world_b.label,
+            "p_a": overlap.p_a,
+            "p_b": overlap.p_b,
+            "p_ab": overlap.p_ab,
+            "gap": overlap.gap,
+        },
+    }
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> dict:
     text = Path(args.file).read_text(encoding="utf-8")
     fmt = ScoreFormat[args.format]
     events = parse_score(text, fmt)
     if args.cantus_policy == "column":
-        policy = COLUMN_CANTUS
+        policy, policy_text = COLUMN_CANTUS, "COLUMN_CANTUS"
     else:
         if args.cantus_pc is None:
             raise ValueError("--cantus-pc is required with --cantus-policy fixed")
-        policy = FixedCantus(args.cantus_pc)
+        policy, policy_text = FixedCantus(args.cantus_pc), f"FIXED_CANTUS({args.cantus_pc})"
     dedup = Dedup[args.dedup]
     world = load_world(Dichotomy.parse(args.world))
     seq = extract_transitions(events, policy, dedup)
@@ -258,163 +242,150 @@ def cmd_analyze(args) -> int:
     effect = effect_size(sample, pop, args.alpha)
     chi = chi_square_gof(sample, pop, yates=not args.no_yates,
                          merge_low_expected=args.merge_low_expected)
-    policy_text = (
-        "COLUMN_CANTUS" if isinstance(policy, type(COLUMN_CANTUS)) else f"FIXED_CANTUS({policy.pc})"
-    )
-    if args.output == "JSON":
-        _emit_json(
-            {
-                "command": "analyze",
-                "world": world.label,
-                "dichotomy": world.dichotomy.render(),
-                "model_variant": world.variant,
-                "file": os.path.basename(args.file),
-                "policy": policy_text,
-                "dedup": seq.dedup_applied,
-                "transition_count": len(counts),
-                "per_step_counts": list(counts),
-                "steps": [f"{a.render()}>{b.render()}" for a, b in seq.steps],
-                "sample": {
-                    "n": sample.n,
-                    "observed": {str(k): v for k, v in sample.observed},
-                    "overflow_values": list(sample.overflow_values),
-                    "mean": sample.mean,
-                    "sd": sample.sd,
-                    "sd_divisor": sample.divisor,
-                },
-                "population": {"mean": pop.mean, "sd": pop.sd},
-                "effect_size": effect,
-                "chi_square": chi,
-            }
-        )
-        return EXIT_OK
-    print(f"world: {world.label} ({world.dichotomy.render()})")
-    print(f"model-variant: {world.variant}")
-    print(f"file: {args.file}  policy: {policy_text}  dedup: {Dedup[args.dedup].value}")
-    print(f"transitions: {len(counts)}")
-    print("per-step counts: " + " ".join(str(c) for c in counts))
-    print("observed: " + "  ".join(f"{k}:{v}" for k, v in sample.observed))
-    print(f"sample mean: {_f4(sample.mean)}  sd: {_f4(sample.sd)} (divisor {sample.divisor.value})")
-    print(f"population mean: {_f4(pop.mean)}  sd: {_f4(pop.sd)}")
-    print(
-        f"effect size d: {_f4(effect.d)}  "
-        f"{100 * (1 - effect.alpha):.0f}% CI: [{_f4(effect.ci_low)}, {_f4(effect.ci_high)}]  "
-        f"(z = {_f4(effect.z)})"
-    )
     corr = "Yates" if chi.yates else "uncorrected"
-    print(f"chi-square: {_f4(chi.statistic)} (df {chi.df}, {corr})  p-value: {_fp(chi.p_value)}")
-    return EXIT_OK
+    return {
+        "TEXT": [
+            f"world: {world.label} ({world.dichotomy.render()})",
+            f"model-variant: {world.variant}",
+            f"file: {args.file}  policy: {policy_text}  dedup: {dedup.value}",
+            f"transitions: {len(counts)}",
+            "per-step counts: " + " ".join(str(c) for c in counts),
+            "observed: " + "  ".join(f"{k}:{v}" for k, v in sample.observed),
+            f"sample mean: {_f4(sample.mean)}  sd: {_f4(sample.sd)} "
+            f"(divisor {sample.divisor.value})",
+            f"population mean: {_f4(pop.mean)}  sd: {_f4(pop.sd)}",
+            f"effect size d: {_f4(effect.d)}  "
+            f"{100 * (1 - effect.alpha):.0f}% CI: [{_f4(effect.ci_low)}, {_f4(effect.ci_high)}]  "
+            f"(z = {_f4(effect.z)})",
+            f"chi-square: {_f4(chi.statistic)} (df {chi.df}, {corr})  p-value: {_fp(chi.p_value)}",
+        ],
+        "JSON": {
+            "command": "analyze",
+            "world": world.label,
+            "dichotomy": world.dichotomy.render(),
+            "model_variant": world.variant,
+            "file": os.path.basename(args.file),
+            "policy": policy_text,
+            "dedup": seq.dedup_applied,
+            "transition_count": len(counts),
+            "per_step_counts": list(counts),
+            "steps": [f"{a.render()}>{b.render()}" for a, b in seq.steps],
+            "sample": {
+                "n": sample.n,
+                "observed": {str(k): v for k, v in sample.observed},
+                "overflow_values": list(sample.overflow_values),
+                "mean": sample.mean,
+                "sd": sample.sd,
+                "sd_divisor": sample.divisor,
+            },
+            "population": {"mean": pop.mean, "sd": pop.sd},
+            "effect_size": effect,
+            "chi_square": chi,
+        },
+    }
 
 
-def cmd_noll(args) -> int:
+def cmd_noll(args) -> dict:
     if args.scan:
         even = sorted(parse_pitch_class_set("0,2,4,6,8,10"))
-        from itertools import combinations
-
         reports = [chord_endomorphisms(frozenset(tri)) for tri in combinations(even, 3)]
-        if args.output == "JSON":
-            _emit_json(
-                {
-                    "command": "noll scan",
-                    "scan": "wt-triads",
-                    "reports": [
-                        {
-                            "chord": list(r.chord),
-                            "endomorphism_count": len(r.endomorphisms),
-                            "linear_parts": list(r.linear_parts),
-                            "strong_verdict": r.strong_verdict,
-                        }
-                        for r in reports
-                    ],
-                    "all_strong_verdicts_false": not any(r.strong_verdict for r in reports),
-                }
-            )
-            return EXIT_OK
-        for r in reports:
-            print(
-                f"{','.join(str(c) for c in r.chord)}: "
-                f"{len(r.endomorphisms)} endomorphisms, verdict {r.strong_verdict}"
-            )
-        print(f"all verdicts false: {not any(r.strong_verdict for r in reports)}")
-        return EXIT_OK
+        all_false = not any(r.strong_verdict for r in reports)
+        return {
+            "TEXT": [
+                *(
+                    f"{','.join(str(c) for c in r.chord)}: "
+                    f"{len(r.endomorphisms)} endomorphisms, verdict {r.strong_verdict}"
+                    for r in reports
+                ),
+                f"all verdicts false: {all_false}",
+            ],
+            "JSON": {
+                "command": "noll scan",
+                "scan": "wt-triads",
+                "reports": [
+                    {
+                        "chord": list(r.chord),
+                        "endomorphism_count": len(r.endomorphisms),
+                        "linear_parts": list(r.linear_parts),
+                        "strong_verdict": r.strong_verdict,
+                    }
+                    for r in reports
+                ],
+                "all_strong_verdicts_false": all_false,
+            },
+        }
     if not args.chord:
         raise ValueError("either a chord or --scan wt-triads is required")
     report = chord_endomorphisms(parse_pitch_class_set(args.chord))
-    if args.output == "JSON":
-        _emit_json(
-            {
-                "command": "noll",
-                "chord": list(report.chord),
-                "endomorphisms": [m.render() for m in report.endomorphisms],
-                "endomorphism_count": len(report.endomorphisms),
-                "linear_parts": list(report.linear_parts),
-                "strong_verdict": report.strong_verdict,
-            }
-        )
-        return EXIT_OK
-    print(f"chord: {','.join(str(c) for c in report.chord)}")
-    print(f"endomorphisms ({len(report.endomorphisms)}): "
-          + " ".join(m.render() for m in report.endomorphisms))
-    print(f"linear parts: {','.join(str(v) for v in report.linear_parts)}")
-    print(f"strong verdict: {report.strong_verdict}")
-    return EXIT_OK
+    endomorphisms = [m.render() for m in report.endomorphisms]
+    return {
+        "TEXT": [
+            f"chord: {','.join(str(c) for c in report.chord)}",
+            f"endomorphisms ({len(endomorphisms)}): " + " ".join(endomorphisms),
+            f"linear parts: {','.join(str(v) for v in report.linear_parts)}",
+            f"strong verdict: {report.strong_verdict}",
+        ],
+        "JSON": {
+            "command": "noll",
+            "chord": list(report.chord),
+            "endomorphisms": endomorphisms,
+            "endomorphism_count": len(endomorphisms),
+            "linear_parts": list(report.linear_parts),
+            "strong_verdict": report.strong_verdict,
+        },
+    }
 
 
-def cmd_scale_report(args) -> int:
+def cmd_scale_report(args) -> dict:
     world = load_world(Dichotomy.parse(args.dichotomy))
     scale = parse_pitch_class_set(args.scale) if args.scale else frozenset()
     report = scale_restriction_report(world, scale, RestrictionMode[args.mode])
-    if args.output == "JSON":
-        _emit_json(
-            {
-                "command": "scale-report",
-                "world": world.label,
-                "model_variant": world.variant,
-                "scale": list(report.scale),
-                "mode": report.mode,
-                "restricted_step_count": report.restricted_step_count,
-                "forbidden_step_count": report.forbidden_step_count,
-                "forbidden_class_count": report.forbidden_class_count,
-                "forbidden_classes": [list(c) for c in report.forbidden_classes],
-                "forbidden_steps": [
-                    f"{a.render()}>{b.render()}" for a, b in report.forbidden_steps
-                ],
-            }
-        )
-        return EXIT_OK
-    print(f"world: {world.label}  scale: {','.join(str(p) for p in report.scale)}  "
-          f"mode: {report.mode.value}")
-    print(f"steps in domain: {report.restricted_step_count}")
-    print(f"forbidden steps: {report.forbidden_step_count}")
-    print(f"forbidden classes (k, d, l): {report.forbidden_class_count}")
-    for k, d, l in report.forbidden_classes:
-        print(f"  k={k} d={d} l={l}")
-    return EXIT_OK
+    return {
+        "TEXT": [
+            f"world: {world.label}  scale: {','.join(str(p) for p in report.scale)}  "
+            f"mode: {report.mode.value}",
+            f"steps in domain: {report.restricted_step_count}",
+            f"forbidden steps: {report.forbidden_step_count}",
+            f"forbidden classes (k, d, l): {report.forbidden_class_count}",
+            *(f"  k={k} d={d} l={l}" for k, d, l in report.forbidden_classes),
+        ],
+        "JSON": {
+            "command": "scale-report",
+            "world": world.label,
+            "model_variant": world.variant,
+            "scale": list(report.scale),
+            "mode": report.mode,
+            "restricted_step_count": report.restricted_step_count,
+            "forbidden_step_count": report.forbidden_step_count,
+            "forbidden_class_count": report.forbidden_class_count,
+            "forbidden_classes": [list(c) for c in report.forbidden_classes],
+            "forbidden_steps": [f"{a.render()}>{b.render()}" for a, b in report.forbidden_steps],
+        },
+    }
 
 
-def cmd_walk(args) -> int:
+def cmd_walk(args) -> dict:
     world = load_world(Dichotomy.parse(args.dichotomy))
     start = DualNumber.parse(args.start)
     result = walk(world, start, args.length, args.seed)
-    if args.output == "JSON":
-        _emit_json(
-            {
-                "command": "walk",
-                "world": world.label,
-                "model_variant": world.variant,
-                "start": start.render(),
-                "length": args.length,
-                "seed": args.seed,
-                "path": [z.render() for z in result.path],
-                "completed": result.completed,
-                "dead_end_at": result.dead_end_at,
-            }
-        )
-        return EXIT_OK
-    print(" ".join(z.render() for z in result.path))
+    path = [z.render() for z in result.path]
+    text = [" ".join(path)]
     if not result.completed:
-        print(f"dead end after {result.steps_taken} steps")
-    return EXIT_OK
+        text.append(f"dead end after {result.steps_taken} steps")
+    return {
+        "TEXT": text,
+        "JSON": {
+            "command": "walk",
+            "world": world.label,
+            "model_variant": world.variant,
+            "start": start.render(),
+            "length": args.length,
+            "seed": args.seed,
+            "path": path,
+            "completed": result.completed,
+            "dead_end_at": result.dead_end_at,
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -437,19 +408,17 @@ def build_parser() -> argparse.ArgumentParser:
     export = worlds_sub.add_parser("export", help="matrix or histogram CSV")
     export.add_argument("--dichotomy", required=True)
     export.add_argument("--what", choices=["matrix", "histogram"], default="matrix")
-    export.set_defaults(func=cmd_worlds_export)
+    export.set_defaults(func=cmd_worlds_export, output="CSV")
 
     step = sub.add_parser("step", help="symmetry count of one step")
     step.add_argument("--dichotomy", required=True)
     step.add_argument("--from", dest="src", required=True, metavar="X+EK")
     step.add_argument("--to", dest="dst", required=True, metavar="Y+EL")
-    step.add_argument("--output", choices=["TEXT", "JSON"], default="TEXT")
     step.set_defaults(func=cmd_step)
 
     compare = sub.add_parser("compare", help="overlap of two worlds")
     compare.add_argument("--a", required=True)
     compare.add_argument("--b", required=True)
-    compare.add_argument("--output", choices=["TEXT", "JSON"], default="TEXT")
     compare.set_defaults(func=cmd_compare)
 
     analyze = sub.add_parser("analyze", help="score a passage against a world")
@@ -463,13 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--no-yates", action="store_true")
     analyze.add_argument("--merge-low-expected", action="store_true")
     analyze.add_argument("--divisor", choices=[d.value for d in SdDivisor], default="N")
-    analyze.add_argument("--output", choices=["TEXT", "JSON"], default="TEXT")
     analyze.set_defaults(func=cmd_analyze)
 
     noll = sub.add_parser("noll", help="chord endomorphism report")
     noll.add_argument("chord", nargs="?")
     noll.add_argument("--scan", choices=["wt-triads"])
-    noll.add_argument("--output", choices=["TEXT", "JSON"], default="TEXT")
     noll.set_defaults(func=cmd_noll)
 
     scale = sub.add_parser("scale-report", help="forbidden steps inside a scale")
@@ -478,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument(
         "--mode", choices=[m.value for m in RestrictionMode], default="CANTUS_ONLY"
     )
-    scale.add_argument("--output", choices=["TEXT", "JSON"], default="TEXT")
     scale.set_defaults(func=cmd_scale_report)
 
     walk_p = sub.add_parser("walk", help="seeded random walk over valid steps")
@@ -486,9 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
     walk_p.add_argument("--start", required=True, metavar="X+EK")
     walk_p.add_argument("--length", type=int, default=8)
     walk_p.add_argument("--seed", type=int, default=0)
-    walk_p.add_argument("--output", choices=["TEXT", "JSON"], default="TEXT")
     walk_p.set_defaults(func=cmd_walk)
 
+    # Added last so each command's usage and help keep their order.
+    for command in (step, compare, analyze, noll, scale, walk_p):
+        command.add_argument("--output", choices=["TEXT", "JSON"], default="TEXT")
     return parser
 
 
@@ -500,7 +468,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        _emit(args.output, args.func(args))
+        return EXIT_OK
     except GateFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GATE

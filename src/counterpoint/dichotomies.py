@@ -154,11 +154,13 @@ def _canonical(half: frozenset, modulus: Modulus) -> tuple:
     return min(tuple(sorted(image)) for image in _orbit(half, modulus))
 
 
+_MYSTIC_CANONICAL = _canonical(MYSTIC_HALF, Modulus())
+
 # Class aliases for n = 12: the mystic chord's class (number 78 in the
 # standard catalogue of twelve-tone set classes) and the Fuxian consonances.
 # Other strong classes are reported by canonical representative only.
 _CLASS_ALIASES = {
-    _canonical(MYSTIC_HALF, Modulus()): "78 (mystic)",
+    _MYSTIC_CANONICAL: "78 (mystic)",
     _canonical(FUX_HALF, Modulus()): "Fux",
 }
 
@@ -310,7 +312,7 @@ def mystic_parity(chord: Iterable, modulus: Modulus = Modulus()) -> str:
     chord_set = frozenset(modulus.reduce(c) for c in chord)
     if len(chord_set) != 6:
         return "NotMysticForm"
-    if _canonical(chord_set, modulus) != _canonical(MYSTIC_HALF, modulus):
+    if _canonical(chord_set, modulus) != _MYSTIC_CANONICAL:
         return "NotMysticForm"
     even, odd = whole_tone_affinity(chord_set, modulus)
     if even == 5:

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import sqrt
 from typing import List, Optional, Sequence
 
 from .dichotomies import (
@@ -66,6 +65,7 @@ from .residue_algebra import (
     Modulus,
     ModulusMismatch,
 )
+from .stats import PopulationSpec
 
 
 class GateFailure(RuntimeError):
@@ -351,12 +351,9 @@ class WorldMoments:
 
 def world_moments(w: World) -> WorldMoments:
     """Exact mean and population variance of the step-count distribution."""
-    total = sum(w.histogram.values())
-    mean = Fraction(sum(c * f for c, f in w.histogram.items()), total)
-    second = Fraction(sum(c * c * f for c, f in w.histogram.items()), total)
-    variance = second - mean * mean
+    pop = PopulationSpec.from_histogram(w.histogram)
     note = MYSTIC_SD_NOTE if w.label == "mystic" else None
-    return WorldMoments(mean, variance, sqrt(variance), note)
+    return WorldMoments(pop.mean, pop.variance, pop.sd, note)
 
 
 @dataclass(frozen=True)

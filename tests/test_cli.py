@@ -1,7 +1,8 @@
+import hashlib
 import json
-import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -338,6 +339,63 @@ class TestWalk:
         assert "non-negative" in err
 
 
+# SHA-256 of stdout for every command in every output form, pinned so that
+# any change to the rendering of a report shows (JSON digests include the
+# tool version).  Run from a directory that holds TWO_VOICE_SCORE as
+# passage.csv, because TEXT analyze prints the path as given.
+GOLDEN_STDOUT = [
+    ("worlds table --dichotomy fux",
+     "3fb0443e9e64f871dfa250ab2735c4789499b44719c8af4aa76b46d253cc6aeb"),
+    ("worlds table --dichotomy fux --output JSON",
+     "c7c242b12e5d47bc61ada085a35a03dccafbd68b1e097304d19a088dced8d0a6"),
+    ("worlds table --dichotomy mystic --output JSON",
+     "5c825b64aa92c5c0a94e08e94e697384a1fb81fa16351a4dba106a566bf0bddf"),
+    ("worlds table --dichotomy mystic --output CSV",
+     "aeac92af23e0d9052bba9bb5ce98c105606be50cfbf69238f58b09cd82d3404c"),
+    ("worlds export --dichotomy fux",
+     "1366b3c3cd7eb29d6d0fba260d70b9e0abc0790efed5e8ddd57ef38b27ed2d72"),
+    ("worlds export --dichotomy mystic --what histogram",
+     "aeac92af23e0d9052bba9bb5ce98c105606be50cfbf69238f58b09cd82d3404c"),
+    ("step --dichotomy fux --from 0+e3 --to 2+e4",
+     "73843096a420e41c8ab9c6fdeb625e1f1ac49d986f257241c4e76dded4bf75d5"),
+    ("step --dichotomy fux --from 0+e7 --to 2+e7 --output JSON",
+     "90ffb69df3f60748b5736baf90d4dec2a010dbc376b32f8ea44a40ce11db846f"),
+    ("compare --a fux --b mystic",
+     "42b6183f8850a05178288a347f2ee33bf5be8c62951c14f951d2988fed7f2e2c"),
+    ("compare --a fux --b mystic --output JSON",
+     "1396d22e2e08f2c6e4805f426b0cf04384e81ad31fc9e9dcf0eb394885ab443f"),
+    ("analyze --file passage.csv --format TWO_VOICE --world fux",
+     "397baf341bf864488c4e690573b134d584368aa0a3d1c0c0c54416b5396cf6f0"),
+    ("analyze --file passage.csv --format TWO_VOICE --world fux --output JSON",
+     "950fa5bd0fdf30b24f806b9f214d5e7507b07c3c5db8c692d3484e28e5b7c912"),
+    ("noll 0,4,7",
+     "de667123b9bc1661b7a605520096d6874f15cee831a40cd6200699c242c0afa6"),
+    ("noll 0,4,7 --output JSON",
+     "05908cee00f7d3e4efe15ddbea0afd1d7998f9b993f2247dcd078b85ec95d978"),
+    ("noll --scan wt-triads",
+     "a946c89151f8ac75ae9d387f88b1fdbdb27ceaad85a2f4d968dbcfb1470919d1"),
+    ("noll --scan wt-triads --output JSON",
+     "5e0b10cb6b93d1914b7adf225d76a4dc74e7852a79bf2ba073eb356237e6d220"),
+    ("scale-report --dichotomy mystic --scale 1,3,5,7,9,11 --mode BOTH_VOICES",
+     "a2f5f735972a4c373f58c3fbfafc2e0a8dc9568b3162b68e84079403d07f007c"),
+    ("scale-report --dichotomy mystic --scale 1,3,5,7,9,11 --output JSON",
+     "a6af85290c74a4efc56cc1088a05706a8a4fcdf31f95eaf98364791b11968f0e"),
+    ("walk --dichotomy fux --start 0+e3 --length 12 --seed 7",
+     "1931d96d4722bdfde78e14949e77cfc773ed84aef89914ddabc6e8e2faa8ebd1"),
+    ("walk --dichotomy fux --start 0+e3 --length 12 --seed 7 --output JSON",
+     "65bebed23f52d30d3e92e34101675bf1271002a27e0ad6eecb65d6595631dfb6"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT, ids=[a for a, _ in GOLDEN_STDOUT])
+def test_golden_stdout(capsys, monkeypatch, tmp_path, argv, digest):
+    (tmp_path / "passage.csv").write_text(TWO_VOICE_SCORE + "\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 class TestEntryPoints:
     def test_usage_error_exits_two(self, capsys):
         assert main([]) == 2
@@ -348,9 +406,7 @@ class TestEntryPoints:
         assert "counterpoint" in out
 
     def test_console_script(self):
-        env = {"PATH": "/usr/bin:/bin"}
-        if "PYTHONPATH" in os.environ:
-            env["PYTHONPATH"] = os.environ["PYTHONPATH"]
+        env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(counterpoint.__file__).parents[1])}
         result = subprocess.run(
             [sys.executable, "-m", "counterpoint.cli_reports", "noll", "0,4,7"],
             capture_output=True,

@@ -8,6 +8,7 @@ from counterpoint import (
     EVEN_WHOLE_TONE,
     FUX_HALF,
     MYSTIC_HALF,
+    ODD_WHOLE_TONE,
     Dichotomy,
     Modulus,
     OddModulusUnsupported,
@@ -239,6 +240,19 @@ class TestChordGeometry:
         assert mystic_parity({(x + 1) % 12 for x in MYSTIC_HALF}) == "ODD"
         assert mystic_parity(FUX_HALF) == "NotMysticForm"
         assert mystic_parity({0, 1, 2}) == "NotMysticForm"
+        # Every six-note set against the definition: an affine image of the
+        # mystic half-set with five tones in the even or the odd whole-tone scale.
+        mystic_class = {m.apply_set(MYSTIC_HALF) for m in ResidueAffineMap.invertible_maps(M12)}
+        tally = {"EVEN": 0, "ODD": 0, "NotMysticForm": 0}
+        for chord in combinations(range(12), 6):
+            chord = frozenset(chord)
+            even, odd = len(chord & EVEN_WHOLE_TONE), len(chord & ODD_WHOLE_TONE)
+            expected = "NotMysticForm"
+            if chord in mystic_class and 5 in (even, odd):
+                expected = "EVEN" if even == 5 else "ODD"
+            assert mystic_parity(chord) == expected, sorted(chord)
+            tally[expected] += 1
+        assert tally == {"EVEN": 24, "ODD": 24, "NotMysticForm": 876}
 
     def test_mystic_parity_needs_twelve(self):
         with pytest.raises(OddModulusUnsupported):
