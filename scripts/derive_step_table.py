@@ -30,14 +30,14 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import sqrt
 
 from counterpoint.dichotomies import Dichotomy, MYSTIC_HALF
 from counterpoint.model_tables import (
     EXPECTED_STEP_HISTOGRAMS,
     MYSTIC_STEP_TABLE,
 )
-from counterpoint.worlds import _engine_class_table, build_world
+from counterpoint.stats import PopulationSpec
+from counterpoint.worlds import _engine_class_table
 
 N = 12
 MARKED = sorted(MYSTIC_HALF)
@@ -45,7 +45,11 @@ EVEN_INTERVALS = {0, 2, 4, 6, 8}  # marked intervals lying in the even whole-ton
 
 
 def engine_class_counts(d: Dichotomy) -> dict:
-    """(k, d, l) -> engine count, read off the engine's class table."""
+    """(k, d, l) -> engine count, read off the engine's class table.
+
+    For the Fuxian dichotomy these are the world's counts: its class table
+    is the engine's.
+    """
     table = _engine_class_table(d)
     return {
         (k, dd, l): table[k][N * dd + l]
@@ -55,16 +59,8 @@ def engine_class_counts(d: Dichotomy) -> dict:
     }
 
 
-def derive_table() -> dict:
-    mystic = Dichotomy.mystic()
-    t_engine = engine_class_counts(mystic)
-    fux_world = build_world(Dichotomy.fux())
-    f_fux = {
-        (k, dd, l): fux_world.counts[k][N * dd + l]
-        for k in range(N)
-        for dd in range(N)
-        for l in range(N)
-    }
+def derive_table(f_fux: dict) -> dict:
+    t_engine = engine_class_counts(Dichotomy.mystic())
 
     marked = set(MARKED)
     kk = [c for c in sorted(t_engine) if c[0] in marked and c[2] in marked]
@@ -105,7 +101,7 @@ def derive_table() -> dict:
     return table
 
 
-def verify(table: dict) -> list:
+def verify(table: dict, f_fux: dict) -> list:
     failures = []
     frozen = {
         (k, dd, l): MYSTIC_STEP_TABLE[144 * k + 12 * dd + l]
@@ -123,19 +119,13 @@ def verify(table: dict) -> list:
     if histogram != EXPECTED_STEP_HISTOGRAMS["mystic"]:
         failures.append(f"histogram {histogram} != calibration target")
 
-    total = N ** 4
-    mean = Fraction(sum(c * f for c, f in histogram.items()), total)
-    var = Fraction(sum(c * c * f for c, f in histogram.items()), total) - mean ** 2
-    if f"{float(mean):.4f}" != "0.5278" or not 1.0924 <= sqrt(var) <= 1.0927:
-        failures.append(f"moments off: mean {float(mean):.4f} sd {sqrt(var):.4f}")
+    pop = PopulationSpec.from_histogram(histogram)
+    if f"{float(pop.mean):.4f}" != "0.5278" or not 1.0924 <= pop.sd <= 1.0927:
+        failures.append(f"moments off: mean {float(pop.mean):.4f} sd {pop.sd:.4f}")
 
-    fux_world = build_world(Dichotomy.fux())
+    total = N ** 4
     valid = sum(12 for v in table.values() if v)
-    both = sum(
-        12
-        for (k, dd, l), v in table.items()
-        if v and fux_world.counts[k][N * dd + l] > 0
-    )
+    both = sum(12 for c, v in table.items() if v and f_fux[c] > 0)
     p_m, p_f = Fraction(valid, total), Fraction(14016, total)
     p_fm = Fraction(both, total)
     if (p_m, p_fm) != (Fraction(4608, total), Fraction(2976, total)):
@@ -146,8 +136,9 @@ def verify(table: dict) -> list:
 
 
 def main() -> int:
-    table = derive_table()
-    failures = verify(table)
+    f_fux = engine_class_counts(Dichotomy.fux())
+    table = derive_table(f_fux)
+    failures = verify(table, f_fux)
     hist = {v: sum(12 for x in table.values() if x == v) for v in range(6)}
     print(f"classes: {len(table)}  step histogram: {hist}")
     print("frozen-table digits (k-major, 144 per source interval):")

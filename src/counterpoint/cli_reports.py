@@ -46,10 +46,7 @@ from .score_io import (
     COLUMN_CANTUS,
     Dedup,
     FixedCantus,
-    OrderError,
-    ParseError,
     ScoreFormat,
-    TooFewEvents,
     extract_transitions,
     parse_score,
     score_against_world,
@@ -83,7 +80,7 @@ EXIT_INPUT = 2
 EXIT_MODEL = 3
 EXIT_GATE = 4
 
-_INPUT_ERRORS = (ParseError, OrderError, TooFewEvents, ValueError, OSError)
+_INPUT_ERRORS = (ValueError, OSError)
 _MODEL_ERRORS = (
     NotStrong,
     DegeneratePopulation,

@@ -170,35 +170,31 @@ def extract_transitions(
 ) -> TransitionSequence:
     """Map events to dual intervals and pair them into steps.
 
-    COLUMN_CANTUS: xi = (cantus mod n) + e((pitch - cantus) mod n);
-    FixedCantus(pc): xi = pc + e((pitch mod n - pc) mod n).
+    Every event gets one cantus: the policy's pitch class for FixedCantus,
+    the event's own cantus for COLUMN_CANTUS; then
+    xi = (cantus mod n) + e((pitch - cantus) mod n).  CONSECUTIVE dedup
+    drops a step equal to the step just before it.
     """
     if len(events) < 2:
         raise TooFewEvents(f"need at least 2 events, got {len(events)}")
-    n = modulus.n
-    intervals = []
-    for event in events:
-        if isinstance(policy, FixedCantus):
-            pc = policy.pc % n
-            interval = (event.pitch % n - pc) % n
-        elif isinstance(policy, ColumnCantus):
-            if event.cantus_pitch is None:
-                raise ValueError(
-                    "COLUMN_CANTUS policy requires a cantus on every event; "
-                    "use FixedCantus for DRONE input"
-                )
-            pc = event.cantus_pitch % n
-            interval = (event.pitch - event.cantus_pitch) % n
-        else:
-            raise ValueError(f"unknown cantus policy {policy!r}")
-        intervals.append(DualNumber(pc, interval, modulus))
+    if isinstance(policy, FixedCantus):
+        cantus = [policy.pc] * len(events)
+    elif isinstance(policy, ColumnCantus):
+        cantus = [event.cantus_pitch for event in events]
+        if None in cantus:
+            raise ValueError(
+                "COLUMN_CANTUS policy requires a cantus on every event; "
+                "use FixedCantus for DRONE input"
+            )
+    else:
+        raise ValueError(f"unknown cantus policy {policy!r}")
+    # DualNumber reduces both parts mod n.
+    intervals = [
+        DualNumber(c, event.pitch - c, modulus) for c, event in zip(cantus, events)
+    ]
     steps = list(zip(intervals, intervals[1:]))
     if dedup is Dedup.CONSECUTIVE:
-        kept = []
-        for step in steps:
-            if not kept or step != kept[-1]:
-                kept.append(step)
-        steps = kept
+        steps = steps[:1] + [b for a, b in zip(steps, steps[1:]) if b != a]
     return TransitionSequence(tuple(steps), dedup_applied=dedup is Dedup.CONSECUTIVE)
 
 

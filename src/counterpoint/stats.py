@@ -1,7 +1,8 @@
 """Sample statistics against world populations.
 
 Populations come from world histograms (exact rational category
-probabilities); samples are sequences of per-step symmetry counts.  The
+probabilities); samples are sequences of per-step symmetry counts.  Both
+are summarized from a ``{value: frequency}`` tally in exact arithmetic.  The
 module provides standardized effect sizes with normal-quantile confidence
 intervals and a chi-square goodness-of-fit test with optional Yates
 continuity correction, backed by a self-contained chi-square survival
@@ -11,10 +12,12 @@ function (regularized upper incomplete gamma).
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Sequence
+from typing import Dict, Mapping, Sequence, Tuple
 
 
 class DegeneratePopulation(ValueError):
@@ -34,6 +37,19 @@ class SdDivisor(Enum):
     N_MINUS_1 = "N_MINUS_1"
 
 
+def _moments(tally: Mapping[int, int], empty: str) -> Tuple[int, Fraction, Fraction]:
+    """Size, mean and population variance of a ``{value: frequency}`` tally, exactly.
+
+    Raises ``EmptySample(empty)`` when the tally has no mass.
+    """
+    size = sum(tally.values())
+    if size <= 0:
+        raise EmptySample(empty)
+    mean = Fraction(sum(v * f for v, f in tally.items()), size)
+    second = Fraction(sum(v * v * f for v, f in tally.items()), size)
+    return size, mean, second - mean * mean
+
+
 @dataclass(frozen=True)
 class PopulationSpec:
     """Category distribution of a step-count population.
@@ -51,12 +67,7 @@ class PopulationSpec:
 
     @classmethod
     def from_histogram(cls, histogram: Dict[int, int]) -> "PopulationSpec":
-        total = sum(histogram.values())
-        if total <= 0:
-            raise EmptySample("population histogram has no mass")
-        mean = Fraction(sum(c * f for c, f in histogram.items()), total)
-        second = Fraction(sum(c * c * f for c, f in histogram.items()), total)
-        variance = second - mean * mean
+        total, mean, variance = _moments(histogram, "population histogram has no mass")
         support = tuple(sorted(c for c, f in histogram.items() if f > 0))
         probabilities = {c: Fraction(histogram[c], total) for c in support}
         return cls(
@@ -113,27 +124,15 @@ def sample_summary(
 ) -> SampleSummary:
     """Summarize raw symmetry counts over a population support."""
     counts = list(counts)
-    if not counts:
-        raise EmptySample("no observations")
-    support_set = set(support)
-    observed = {c: 0 for c in sorted(support_set)}
-    overflow = []
-    for value in counts:
-        if value in support_set:
-            observed[value] += 1
-        else:
-            overflow.append(value)
-    n = len(counts)
-    mean = Fraction(sum(counts), n)
-    dev2 = sum((Fraction(v) - mean) ** 2 for v in counts)
+    tally = Counter(counts)
+    n, mean, variance = _moments(tally, "no observations")
     if sd_divisor is SdDivisor.N_MINUS_1:
-        variance = dev2 / (n - 1) if n > 1 else Fraction(0)
-    else:
-        variance = dev2 / n
+        variance = variance * n / (n - 1) if n > 1 else Fraction(0)
+    support_set = set(support)
     return SampleSummary(
         n,
-        tuple(observed.items()),
-        tuple(overflow),
+        tuple((c, tally[c]) for c in sorted(support_set)),
+        tuple(v for v in counts if v not in support_set),
         mean,
         math.sqrt(variance),
         sd_divisor,
@@ -224,6 +223,11 @@ class ChiSquareResult:
     expected: tuple
 
 
+def _pool(group: tuple, cell: tuple) -> tuple:
+    """Join two (categories, observed, expected) cells."""
+    return tuple(map(operator.add, group, cell))
+
+
 def chi_square_gof(
     sample: SampleSummary,
     pop: PopulationSpec,
@@ -234,8 +238,9 @@ def chi_square_gof(
 
     The Yates correction subtracts 0.5 from each absolute deviation,
     clamped at zero, in every category.  ``merge_low_expected`` pools
-    adjacent categories until every expected count reaches 5 (off by
-    default: small expected counts are kept as-is).
+    adjacent categories until every expected count reaches 5, a short tail
+    joining the group before it (off by default: small expected counts are
+    kept as-is).
     """
     if sample.has_overflow:
         raise EmptyCategory(
@@ -253,22 +258,13 @@ def chi_square_gof(
     ]
     if merge_low_expected:
         merged = []
-        acc_cats: tuple = ()
-        acc_o = 0
-        acc_e = 0.0
-        for cats, o, e in cells:
-            acc_cats += cats
-            acc_o += o
-            acc_e += e
-            if acc_e >= 5:
-                merged.append((acc_cats, acc_o, acc_e))
-                acc_cats, acc_o, acc_e = (), 0, 0.0
-        if acc_cats:
-            if merged:
-                last_cats, last_o, last_e = merged.pop()
-                merged.append((last_cats + acc_cats, last_o + acc_o, last_e + acc_e))
-            else:
-                merged.append((acc_cats, acc_o, acc_e))
+        for cell in cells:
+            if merged and merged[-1][2] < 5:
+                cell = _pool(merged.pop(), cell)
+            merged.append(cell)
+        if len(merged) > 1 and merged[-1][2] < 5:
+            tail = merged.pop()
+            merged.append(_pool(merged.pop(), tail))
         cells = merged
     if len(cells) < 2:
         raise EmptySample(

@@ -19,6 +19,21 @@ TWO_VOICE_SCORE = "\n".join(
     ]
 )
 
+# Golden inputs for the analyze variants: a 64-event TWO_VOICE passage and a
+# 40-event DRONE line, both generated from a formula.
+LONG_SCORE = "\n".join(
+    ["measure,beat,cantus,discant"]
+    + [
+        f"{i // 4 + 1},{i % 4 + 1},{48 + (5 * i) % 12},"
+        f"{48 + (5 * i) % 12 + [3, 4, 7, 8, 9, 2, 5][i % 7]}"
+        for i in range(64)
+    ]
+)
+DRONE_SCORE = "\n".join(
+    ["measure,beat,pitch"]
+    + [f"{i // 4 + 1},{i % 4 + 1},{60 + (7 * i) % 17}" for i in range(40)]
+)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -233,6 +248,17 @@ class TestAnalyze:
         assert code == 2
         assert "cantus-pc" in err
 
+    def test_one_event_score_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("measure,beat,cantus,discant\n1,1,60,63\n", encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            "analyze", "--file", str(path), "--format", "TWO_VOICE", "--world", "fux",
+        )
+        assert code == 2
+        assert out == ""
+        assert "need at least 2 events" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -342,7 +368,8 @@ class TestWalk:
 # SHA-256 of stdout for every command in every output form, pinned so that
 # any change to the rendering of a report shows (JSON digests include the
 # tool version).  Run from a directory that holds TWO_VOICE_SCORE as
-# passage.csv, because TEXT analyze prints the path as given.
+# passage.csv, LONG_SCORE as long.csv and DRONE_SCORE as drone.csv, because
+# TEXT analyze prints the path as given.
 GOLDEN_STDOUT = [
     ("worlds table --dichotomy fux",
      "3fb0443e9e64f871dfa250ab2735c4789499b44719c8af4aa76b46d253cc6aeb"),
@@ -384,12 +411,25 @@ GOLDEN_STDOUT = [
      "1931d96d4722bdfde78e14949e77cfc773ed84aef89914ddabc6e8e2faa8ebd1"),
     ("walk --dichotomy fux --start 0+e3 --length 12 --seed 7 --output JSON",
      "65bebed23f52d30d3e92e34101675bf1271002a27e0ad6eecb65d6595631dfb6"),
+    ("analyze --file long.csv --format TWO_VOICE --world fux --divisor N_MINUS_1 --dedup NONE",
+     "3bdb6d8852ee3d54b7ac6936ad585e6e91a0673b407c31d5e449b2f2422ca69e"),
+    ("analyze --file long.csv --format TWO_VOICE --world fux --divisor N_MINUS_1 --dedup NONE --output JSON",
+     "7c46091133d153f10c7f7741bfc4e7dc55241f55fa261357dd20fec7adaf6fed"),
+    ("analyze --file long.csv --format TWO_VOICE --world fux --merge-low-expected --no-yates --output JSON",
+     "d8701b140fdb8b6dd242d7a67f8514bb74526fa17e4910bf090edcc0affe7d9b"),
+    ("analyze --file drone.csv --format DRONE --world fux --cantus-policy fixed --cantus-pc 0 --output JSON",
+     "5d8b34db66910d93e5ad0d2a1f23e7d44d707e060d9e5bda02621ffd5b215c6c"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT, ids=[a for a, _ in GOLDEN_STDOUT])
 def test_golden_stdout(capsys, monkeypatch, tmp_path, argv, digest):
-    (tmp_path / "passage.csv").write_text(TWO_VOICE_SCORE + "\n", encoding="utf-8")
+    for name, score in (
+        ("passage.csv", TWO_VOICE_SCORE),
+        ("long.csv", LONG_SCORE),
+        ("drone.csv", DRONE_SCORE),
+    ):
+        (tmp_path / name).write_text(score + "\n", encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv.split())
     assert (code, err) == (0, "")

@@ -120,6 +120,11 @@ class TestExtractTransitions:
         with pytest.raises(ValueError):
             extract_transitions(events, COLUMN_CANTUS)
 
+    def test_unknown_policy_is_rejected(self):
+        events = parse_score(WORKED_SCORE, ScoreFormat.TWO_VOICE)
+        with pytest.raises(ValueError, match="unknown cantus policy"):
+            extract_transitions(events, "column")
+
     def test_too_few_events(self):
         text = f"{DRONE_HEADER}\n1,1,60\n"
         events = parse_score(text, ScoreFormat.DRONE)

@@ -85,6 +85,27 @@ class TestSampleSummary:
         with pytest.raises(EmptySample):
             sample_summary([], support=range(6))
 
+    @given(
+        counts=st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=200),
+        divisor=st.sampled_from(SdDivisor),
+    )
+    def test_equals_two_pass_definition(self, counts, divisor):
+        support = range(6)  # values 6..9 overflow
+        n = len(counts)
+        mean = Fraction(sum(counts), n)
+        dev2 = sum((Fraction(v) - mean) ** 2 for v in counts)
+        if divisor is SdDivisor.N_MINUS_1:
+            variance = dev2 / (n - 1) if n > 1 else Fraction(0)
+        else:
+            variance = dev2 / n
+        s = sample_summary(counts, support, divisor)
+        assert s.n == n
+        assert s.observed == tuple((c, counts.count(c)) for c in support)
+        assert s.overflow_values == tuple(v for v in counts if v not in support)
+        assert s.mean == mean
+        assert s.sd == math.sqrt(variance)
+        assert s.divisor is divisor
+
     def test_from_moments(self):
         s = SampleSummary.from_moments(30, Fraction(21, 10))
         assert (s.n, s.mean, s.sd) == (30, Fraction(21, 10), 0.0)
@@ -228,6 +249,38 @@ class TestChiSquareGof:
         assert sum(merged.observed) == sum(plain.observed) == 20
         assert abs(sum(merged.expected) - 20) < 1e-9
         assert merged.df == len(merged.categories) - 1 == 1
+
+    @given(
+        frequencies=st.lists(
+            st.integers(min_value=0, max_value=40), min_size=1, max_size=8
+        ).filter(any),
+        data=st.data(),
+    )
+    def test_pooled_groups_partition_the_support(self, frequencies, data):
+        pop = PopulationSpec.from_histogram(dict(enumerate(frequencies)))
+        counts = data.draw(
+            st.lists(st.sampled_from(pop.support), min_size=1, max_size=60)
+        )
+        sample = sample_summary(counts, support=pop.support)
+        exact = {c: sample.n * pop.probabilities[c] for c in pop.support}
+        cells = [exact[c] for c in pop.support]
+        # Two groups of expected count >= 5 exist iff some cut allows them.
+        if not any(
+            sum(cells[:i]) >= 5 and sum(cells[i:]) >= 5 for i in range(1, len(cells))
+        ):
+            with pytest.raises(EmptySample):
+                chi_square_gof(sample, pop, merge_low_expected=True)
+            return
+        res = chi_square_gof(sample, pop, merge_low_expected=True)
+        assert all(res.categories)
+        assert tuple(c for group in res.categories for c in group) == pop.support
+        observed = sample.observed_map()
+        for group, o, e in zip(res.categories, res.observed, res.expected):
+            assert o == sum(observed[c] for c in group)
+            assert abs(e - float(sum(exact[c] for c in group))) < 1e-9
+            assert e >= 5
+        assert sum(res.observed) == sample.n
+        assert abs(sum(res.expected) - sample.n) < 1e-9
 
     def test_merge_that_leaves_one_cell_is_rejected(self):
         pop = PopulationSpec.from_histogram(FUX_HISTOGRAM)
