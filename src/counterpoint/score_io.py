@@ -11,6 +11,10 @@ Events map to dual intervals x + ek (cantus pc x, interval k mod 12);
 consecutive intervals form steps, optionally deduplicated when a step
 repeats its immediate predecessor.  Step lists render one step per line in
 the grammar ``x+ek>y+el`` and re-parse exactly.
+
+The chain parses each distinct beat spelling once per call and builds each
+distinct interval once per call.  Scoring rejects a step whose source or
+target modulus differs from the world's.
 """
 
 from __future__ import annotations
@@ -125,7 +129,12 @@ def _parse_int(field: str, value: str, line: int, low: int, high: int) -> int:
 
 
 def parse_score(text: str, fmt: ScoreFormat) -> List[ScoreEvent]:
-    """Parse a score CSV; events must strictly increase in (measure, beat)."""
+    """Parse a score CSV; events must strictly increase in (measure, beat).
+
+    Each distinct beat spelling is parsed once per call into its Fraction
+    and an ordering key: the int numerator when the beat is integral, the
+    Fraction otherwise, so integral stamps compare as ints.
+    """
     header = _HEADERS[fmt]
     reader = csv.reader(io.StringIO(text))
     rows = list(reader)
@@ -133,6 +142,8 @@ def parse_score(text: str, fmt: ScoreFormat) -> List[ScoreEvent]:
         raise ParseError(1, "empty input")
     if rows[0] != header:
         raise ParseError(1, f"header must be {','.join(header)!r}, got {','.join(rows[0])!r}")
+    two_voice = fmt is ScoreFormat.TWO_VOICE
+    beats = {}  # spelling -> (Fraction, ordering key)
     events: List[ScoreEvent] = []
     previous = None
     for index, row in enumerate(rows[1:], start=2):
@@ -141,17 +152,21 @@ def parse_score(text: str, fmt: ScoreFormat) -> List[ScoreEvent]:
         if len(row) != len(header):
             raise ParseError(index, f"expected {len(header)} fields, got {len(row)}")
         measure = _parse_int("measure", row[0], index, -(10 ** 9), 10 ** 9)
-        try:
-            beat = Fraction(row[1])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(index, f"beat must be a decimal rational, got {row[1]!r}") from exc
-        if fmt is ScoreFormat.TWO_VOICE:
+        parsed = beats.get(row[1])
+        if parsed is None:
+            try:
+                beat = Fraction(row[1])
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(index, f"beat must be a decimal rational, got {row[1]!r}") from exc
+            parsed = beats[row[1]] = (beat, beat.numerator if beat.denominator == 1 else beat)
+        beat, key = parsed
+        if two_voice:
             cantus: Optional[int] = _parse_int("cantus", row[2], index, 0, 127)
             pitch = _parse_int("discant", row[3], index, 0, 127)
         else:
             cantus = None
             pitch = _parse_int("pitch", row[2], index, 0, 127)
-        stamp = (measure, beat)
+        stamp = (measure, key)
         if previous is not None and stamp <= previous:
             raise OrderError(
                 f"line {index}: event at measure {measure} beat {beat} does not "
@@ -188,21 +203,26 @@ def extract_transitions(
             )
     else:
         raise ValueError(f"unknown cantus policy {policy!r}")
-    # DualNumber reduces both parts mod n.
-    intervals = [
-        DualNumber(c, event.pitch - c, modulus) for c, event in zip(cantus, events)
-    ]
-    steps = list(zip(intervals, intervals[1:]))
+    # One DualNumber per distinct interval index n*x + k, shared by every
+    # event with that interval; CONSECUTIVE dedup compares the int indices.
+    n = modulus.n
+    keys = [n * (c % n) + (event.pitch - c) % n for c, event in zip(cantus, events)]
+    built = {key: DualNumber(key // n, key % n, modulus) for key in set(keys)}
+    pairs = list(zip(keys, keys[1:]))
     if dedup is Dedup.CONSECUTIVE:
-        steps = steps[:1] + [b for a, b in zip(steps, steps[1:]) if b != a]
-    return TransitionSequence(tuple(steps), dedup_applied=dedup is Dedup.CONSECUTIVE)
+        pairs = pairs[:1] + [b for a, b in zip(pairs, pairs[1:]) if b != a]
+    steps = tuple((built[x], built[y]) for x, y in pairs)
+    return TransitionSequence(steps, dedup_applied=dedup is Dedup.CONSECUTIVE)
 
 
 def score_against_world(seq: TransitionSequence, world) -> List[int]:
-    """Per-step symmetry counts, in order, read from the world matrix."""
-    counts = []
-    for a, b in seq.steps:
-        if a.modulus != world.modulus:
-            raise ModulusMismatch("step and world moduli differ")
-        counts.append(world.count(a, b))
-    return counts
+    """Per-step symmetry counts, in order, read from the world matrix.
+
+    Both ends of every step must carry the world's modulus; each distinct
+    modulus in the sequence is checked once.
+    """
+    n = world.modulus.n
+    if {end.modulus.n for step in seq.steps for end in step} - {n}:
+        raise ModulusMismatch("step and world moduli differ")
+    rows = world.counts
+    return [rows[n * a.a + a.b][n * b.a + b.b] for a, b in seq.steps]

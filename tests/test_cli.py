@@ -33,6 +33,17 @@ DRONE_SCORE = "\n".join(
     ["measure,beat,pitch"]
     + [f"{i // 4 + 1},{i % 4 + 1},{60 + (7 * i) % 17}" for i in range(40)]
 )
+# A 60-event TWO_VOICE passage whose beats mix decimal, fraction and integer
+# spellings, 1.5 and 3/2 or 2.0 and 2 naming one beat in alternate measures.
+FRACTIONAL_BEATS = (("1", "1.5", "7/4", "2.0", "3"), ("1", "3/2", "7/4", "2", "4"))
+FRACTIONAL_SCORE = "\n".join(
+    ["measure,beat,cantus,discant"]
+    + [
+        f"{i // 5 + 1},{FRACTIONAL_BEATS[i // 5 % 2][i % 5]},{50 + (7 * i) % 12},"
+        f"{50 + (7 * i) % 12 + [3, 4, 7, 8, 9, 0, 5, 2][i % 8]}"
+        for i in range(60)
+    ]
+)
 
 
 def run(capsys, *argv):
@@ -368,8 +379,9 @@ class TestWalk:
 # SHA-256 of stdout for every command in every output form, pinned so that
 # any change to the rendering of a report shows (JSON digests include the
 # tool version).  Run from a directory that holds TWO_VOICE_SCORE as
-# passage.csv, LONG_SCORE as long.csv and DRONE_SCORE as drone.csv, because
-# TEXT analyze prints the path as given.
+# passage.csv, LONG_SCORE as long.csv, DRONE_SCORE as drone.csv and
+# FRACTIONAL_SCORE as fractional.csv, because TEXT analyze prints the path as
+# given.
 GOLDEN_STDOUT = [
     ("worlds table --dichotomy fux",
      "3fb0443e9e64f871dfa250ab2735c4789499b44719c8af4aa76b46d253cc6aeb"),
@@ -419,6 +431,10 @@ GOLDEN_STDOUT = [
      "d8701b140fdb8b6dd242d7a67f8514bb74526fa17e4910bf090edcc0affe7d9b"),
     ("analyze --file drone.csv --format DRONE --world fux --cantus-policy fixed --cantus-pc 0 --output JSON",
      "5d8b34db66910d93e5ad0d2a1f23e7d44d707e060d9e5bda02621ffd5b215c6c"),
+    ("analyze --file fractional.csv --format TWO_VOICE --world fux",
+     "abdfbb1fcd563cb123e4dd28ab8dc7e1011fec45475d4de839d8a0f2619f170e"),
+    ("analyze --file fractional.csv --format TWO_VOICE --world fux --output JSON",
+     "072fbe374d0e2cc20374b34ebd4afcfd1e5af5e2558092f7f0f918957a36220a"),
 ]
 
 
@@ -428,6 +444,7 @@ def test_golden_stdout(capsys, monkeypatch, tmp_path, argv, digest):
         ("passage.csv", TWO_VOICE_SCORE),
         ("long.csv", LONG_SCORE),
         ("drone.csv", DRONE_SCORE),
+        ("fractional.csv", FRACTIONAL_SCORE),
     ):
         (tmp_path / name).write_text(score + "\n", encoding="utf-8")
     monkeypatch.chdir(tmp_path)

@@ -1,3 +1,5 @@
+import csv
+import io
 from fractions import Fraction
 
 import pytest
@@ -9,8 +11,11 @@ from counterpoint import (
     Dedup,
     DualNumber,
     FixedCantus,
+    Modulus,
+    ModulusMismatch,
     OrderError,
     ParseError,
+    ScoreEvent,
     ScoreFormat,
     TooFewEvents,
     TransitionSequence,
@@ -33,7 +38,132 @@ WORKED_SCORE = "\n".join(
 )
 
 
+def reference_parse_score(text, fmt):
+    """The per-row definition: every beat parsed and every stamp compared as a Fraction."""
+    header = (TWO_VOICE_HEADER if fmt is ScoreFormat.TWO_VOICE else DRONE_HEADER).split(",")
+
+    def parse_int(field, value, line, low, high):
+        try:
+            number = int(value)
+        except ValueError as exc:
+            raise ParseError(line, f"{field} must be an integer, got {value!r}") from exc
+        if not low <= number <= high:
+            raise ParseError(line, f"{field} {number} outside [{low}, {high}]")
+        return number
+
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows:
+        raise ParseError(1, "empty input")
+    if rows[0] != header:
+        raise ParseError(1, f"header must be {','.join(header)!r}, got {','.join(rows[0])!r}")
+    events = []
+    previous = None
+    for index, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(index, f"expected {len(header)} fields, got {len(row)}")
+        measure = parse_int("measure", row[0], index, -(10 ** 9), 10 ** 9)
+        try:
+            beat = Fraction(row[1])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(index, f"beat must be a decimal rational, got {row[1]!r}") from exc
+        if fmt is ScoreFormat.TWO_VOICE:
+            cantus = parse_int("cantus", row[2], index, 0, 127)
+            pitch = parse_int("discant", row[3], index, 0, 127)
+        else:
+            cantus = None
+            pitch = parse_int("pitch", row[2], index, 0, 127)
+        stamp = (measure, beat)
+        if previous is not None and stamp <= previous:
+            raise OrderError(
+                f"line {index}: event at measure {measure} beat {beat} does not "
+                "advance (measure, beat)"
+            )
+        previous = stamp
+        events.append(ScoreEvent(measure, beat, cantus, pitch))
+    return events
+
+
+def reference_extract_transitions(events, policy, dedup, modulus):
+    """The per-event definition: one DualNumber built for every event."""
+    if isinstance(policy, FixedCantus):
+        cantus = [policy.pc] * len(events)
+    else:
+        cantus = [event.cantus_pitch for event in events]
+    intervals = [DualNumber(c, event.pitch - c, modulus) for c, event in zip(cantus, events)]
+    steps = list(zip(intervals, intervals[1:]))
+    if dedup is Dedup.CONSECUTIVE:
+        steps = [step for i, step in enumerate(steps) if i == 0 or step != steps[i - 1]]
+    return TransitionSequence(tuple(steps), dedup_applied=dedup is Dedup.CONSECUTIVE)
+
+
+def outcome(parse, text, fmt):
+    """("ok", events), or the exception's type, message and line."""
+    try:
+        return "ok", parse(text, fmt)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+BEAT_SPELLINGS = ["1", "2", "2.0", "4/2", "1.5", "3/2", "7/4", " 2"]
+BAD_FIELDS = (
+    (0, ["-1000000001", "1000000001", "1.0", "x"]),  # measure
+    (1, ["1/0", "one"]),  # beat
+    (2, ["-1", "128", "6.5", "sixty"]),  # cantus or pitch
+    (-1, ["-1", "128", "6.5", "sixty"]),  # discant or pitch
+)
+
+
+@st.composite
+def score_texts(draw):
+    """CSV scores in either format mixing beat spellings, bad fields, short and blank rows."""
+    fmt = draw(st.sampled_from(list(ScoreFormat)))
+    header = TWO_VOICE_HEADER if fmt is ScoreFormat.TWO_VOICE else DRONE_HEADER
+    width = header.count(",") + 1
+    lines = [header]
+    measure = 1
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        shape = draw(st.sampled_from(("event",) * 8 + ("bad", "short", "blank")))
+        if shape == "blank":
+            lines.append("")
+            continue
+        measure += draw(st.sampled_from((1, 1, 1, 1, 0, 0, -1)))
+        fields = [str(measure), draw(st.sampled_from(BEAT_SPELLINGS))] + [
+            str(draw(st.integers(min_value=0, max_value=127))) for _ in range(width - 2)
+        ]
+        if shape == "bad":
+            position, values = draw(st.sampled_from(BAD_FIELDS))
+            fields[position] = draw(st.sampled_from(values))
+        elif shape == "short":
+            fields = fields[: draw(st.integers(min_value=1, max_value=width - 1))]
+        lines.append(",".join(fields))
+    return fmt, "\n".join(lines) + draw(st.sampled_from(("", "\n")))
+
+
 class TestParseScore:
+    @given(score=score_texts())
+    def test_equals_per_row_definition(self, score):
+        fmt, text = score
+        got = outcome(parse_score, text, fmt)
+        assert got == outcome(reference_parse_score, text, fmt)
+        if got[0] == "ok":
+            assert all(type(event.beat) is Fraction for event in got[1])
+
+    def test_equal_spellings_do_not_advance(self):
+        with pytest.raises(OrderError):
+            parse_score(f"{DRONE_HEADER}\n1,2,60\n1,2.0,62\n", ScoreFormat.DRONE)
+        with pytest.raises(OrderError) as info:
+            parse_score(f"{DRONE_HEADER}\n1,3/2,60\n1,1.5,62\n", ScoreFormat.DRONE)
+        assert str(info.value) == (
+            "line 3: event at measure 1 beat 3/2 does not advance (measure, beat)"
+        )
+
+    def test_zero_denominator_beat_reports_its_line(self):
+        with pytest.raises(ParseError) as info:
+            parse_score(f"{DRONE_HEADER}\n1,1/0,60\n", ScoreFormat.DRONE)
+        assert info.value.line == 2
+
     def test_two_voice_events(self):
         events = parse_score(WORKED_SCORE, ScoreFormat.TWO_VOICE)
         assert len(events) == 4
@@ -168,6 +298,28 @@ class TestExtractTransitions:
             assert a.a == 5 and b.a == 5
 
 
+    @given(
+        pairs=st.lists(
+            st.tuples(st.sampled_from([0, 48, 55, 61]), st.sampled_from([0, 60, 63, 64, 127])),
+            min_size=2,
+            max_size=16,
+        ),
+        fixed=st.one_of(st.none(), st.integers(min_value=-13, max_value=25)),
+        dedup=st.sampled_from(list(Dedup)),
+        n=st.sampled_from([10, 12]),
+    )
+    def test_equals_per_event_definition(self, pairs, fixed, dedup, n):
+        events = [
+            ScoreEvent(i + 1, Fraction(1), cantus, pitch)
+            for i, (cantus, pitch) in enumerate(pairs)
+        ]
+        policy = COLUMN_CANTUS if fixed is None else FixedCantus(fixed)
+        seq = extract_transitions(events, policy, dedup, Modulus(n))
+        assert seq == reference_extract_transitions(events, policy, dedup, Modulus(n))
+        ends = [end for step in seq.steps for end in step]
+        assert len({id(end) for end in ends}) == len(set(ends))  # one object per interval
+
+
 class TestTransitionSequence:
     @given(
         values=st.lists(
@@ -211,3 +363,13 @@ class TestScoreAgainstWorld:
     def test_empty_sequence(self, fux_world):
         seq = TransitionSequence((), dedup_applied=False)
         assert score_against_world(seq, fux_world) == []
+
+    def test_source_modulus_mismatch_is_rejected(self, fux_world):
+        seq = TransitionSequence(((DualNumber(0, 3, Modulus(10)), DualNumber(2, 4)),), False)
+        with pytest.raises(ModulusMismatch, match="^step and world moduli differ$"):
+            score_against_world(seq, fux_world)
+
+    def test_target_modulus_mismatch_is_rejected(self, fux_world):
+        seq = TransitionSequence(((DualNumber(0, 3), DualNumber(2, 4, Modulus(10))),), False)
+        with pytest.raises(ModulusMismatch, match="^step and world moduli differ$"):
+            score_against_world(seq, fux_world)
