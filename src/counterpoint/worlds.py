@@ -18,6 +18,12 @@ S (the marked half K if k is marked, else the complement D):
   * C3 (maximality): |g(S[eps]) cap S[eps]| is maximal among candidates
     passing C1 and C2.
 
+C2 is solved for t by a residue -> solutions lookup.  The C3 score of a
+candidate is sum_y J[a][(b*y + t) mod n] with J[a][w] = |(a*S + w) cap S|;
+as y -> b*y covers the multiples of g = gcd(b, n) g times each, it equals
+g * sum_{j < n/g} J[a][(t mod g) + j*g], read from a table built once per
+species and call.
+
 The count of a step xi -> eta is the number of surviving symmetries whose
 preimage of eta has interval part back in the source species S.
 
@@ -25,7 +31,10 @@ A count depends only on the translation class (k, d, l) with d = y - x:
 moving the cantus by x carries the fiber pool, the transported polarity and
 both species onto themselves.  So every world is built from its n^3 class
 table T[k][d][l] = count(0+ek -> d+el), computed from the n source
-intervals 0+ek, and expanded to the n^2 x n^2 count matrix.
+intervals 0+ek, and expanded to the n^2 x n^2 count matrix.  Each slab of
+the class table is summed from species rows: a pull-back (a, b, t) adds, at
+cantus offset y, the row R_a[(b*y + t) mod n] whose byte lane l says whether
+a*l + (b*y + t) lies in the species.
 
 Every build is gated: the Fuxian world is computed by this engine and must
 reproduce its frozen histogram, worked steps and maximum; the mystic world's
@@ -41,6 +50,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd
 from typing import List, Optional, Sequence
 
 from .dichotomies import (
@@ -138,6 +148,67 @@ def _overlap_rows(modulus: Modulus, species: frozenset) -> tuple:
     return tuple(sorted(rows.items()))
 
 
+def _c3_scores(modulus: Modulus, species: frozenset) -> dict:
+    """a -> per b, the C3 scores sum_y J[a][(b*y + t) mod n] as a row over t.
+
+    y -> b*y covers the multiples of g = gcd(b, n), each g times, so the
+    score is g * sum_{j < n/g} J[a][(t mod g) + j*g]: one row per divisor g
+    of n, shared by every b with that gcd.
+    """
+    n = modulus.n
+    gcds = [gcd(b, n) for b in range(n)]
+    scores = {}
+    for a, j_row in _overlap_rows(modulus, species):
+        by_g = {}
+        for g in set(gcds):
+            cosets = [g * sum(j_row[r::g]) for r in range(g)]
+            by_g[g] = [cosets[t % g] for t in range(n)]
+        scores[a] = [by_g[g] for g in gcds]
+    return scores
+
+
+def _c2_solutions(n: int, v: int) -> list:
+    """solutions[r] = every t in Z_n with t(1 - v) = r mod n, ascending."""
+    solutions = [[] for _ in range(n)]
+    for t in range(n):
+        solutions[t * (1 - v) % n].append(t)
+    return solutions
+
+
+def _symmetry_parts(d: Dichotomy, x: int, k: int, scores: dict, solutions: list) -> list:
+    """(a, b, s, t) of every symmetry of x+ek, ascending.
+
+    ``scores`` is :func:`_c3_scores` of k's species and ``solutions`` is
+    :func:`_c2_solutions` of the polarity's v.
+    """
+    p = _polarity_or_raise(d)
+    n = d.modulus.n
+    opposite = d.complement() if _species(d, k) is d.half else d.half
+    best_score = -1
+    best: List[tuple] = []
+    u, v = p.u, p.v
+    for a, rows in scores.items():
+        ai = pow(a, -1, n)
+        s = x * (1 - a) % n
+        rhs_base = u * (1 - a) % n
+        for b in range(n):
+            row = rows[b]
+            bx = b * x
+            # C2 on the fiber pool: t(1 - v) = u(1 - a) - b(1 - v)x mod n.
+            for t in solutions[(rhs_base - bx * (1 - v)) % n]:
+                # C1: interval part of g^{-1}(xi) lies in the opposite
+                # species; on the fiber pool it reduces to ai*(k - bx - t).
+                if ai * (k - bx - t) % n not in opposite:
+                    continue
+                score = row[t]
+                if score > best_score:
+                    best_score = score
+                    best = [(a, b, s, t)]
+                elif score == best_score:
+                    best.append((a, b, s, t))
+    return sorted(best)
+
+
 def counterpoint_symmetries(d: Dichotomy, xi: DualNumber) -> list:
     """All symmetries for the interval xi: fiber pool + C2 + C1 + C3.
 
@@ -148,43 +219,18 @@ def counterpoint_symmetries(d: Dichotomy, xi: DualNumber) -> list:
     if xi.modulus != d.modulus:
         raise ModulusMismatch("interval and dichotomy moduli differ")
     p = _polarity_or_raise(d)
-    n = d.modulus.n
-    x, k = xi.a, xi.b
-    species = _species(d, k)
-    opposite = d.half if species is not d.half else d.complement()
-    j_rows = dict(_overlap_rows(d.modulus, species))
-
-    best_score = -1
-    best: List[DualAffineMap] = []
-    u, v = p.u, p.v
-    for a in d.modulus.units():
-        ai = pow(a, -1, n)
-        s = x * (1 - a) % n
-        j_row = j_rows[a]
-        rhs_base = u * (1 - a) % n
-        for b in range(n):
-            rhs = (rhs_base - b * (1 - v) * x) % n
-            bx = b * x
-            for t in range(n):
-                if t * (1 - v) % n != rhs:
-                    continue
-                # C1: interval part of g^{-1}(xi) lies in the opposite
-                # species; on the fiber pool it reduces to ai*(k - bx - t).
-                if ai * (k - bx - t) % n not in opposite:
-                    continue
-                score = sum(j_row[(b * y + t) % n] for y in range(n))
-                if score > best_score:
-                    best_score = score
-                    best = [DualAffineMap(a, b, s, t, d.modulus)]
-                elif score == best_score:
-                    best.append(DualAffineMap(a, b, s, t, d.modulus))
-    return sorted(best)
+    scores = _c3_scores(d.modulus, _species(d, xi.b))
+    solutions = _c2_solutions(d.modulus.n, p.v)
+    return [
+        DualAffineMap(a, b, s, t, d.modulus)
+        for a, b, s, t in _symmetry_parts(d, xi.a, xi.b, scores, solutions)
+    ]
 
 
-def _pullbacks(d: Dichotomy, xi: DualNumber) -> list:
-    """(a, b, t) of g^-1 for every symmetry g of xi."""
+def _pullbacks(symmetries) -> list:
+    """(a, b, t) of g^-1 for every symmetry g."""
     out = []
-    for g in counterpoint_symmetries(d, xi):
+    for g in symmetries:
         gi = g.invert()
         out.append((gi.a, gi.b, gi.t))
     return out
@@ -197,7 +243,10 @@ def _pull_count(pulls: list, species: frozenset, n: int, y: int, l: int) -> int:
 
 def step_count(d: Dichotomy, xi: DualNumber, eta: DualNumber) -> int:
     """Number of symmetries of xi mapping a source-species interval onto eta."""
-    return _pull_count(_pullbacks(d, xi), _species(d, xi.b), d.modulus.n, eta.a, eta.b)
+    if xi.modulus != d.modulus or eta.modulus != d.modulus:
+        raise ModulusMismatch("step and dichotomy moduli differ")
+    pulls = _pullbacks(counterpoint_symmetries(d, xi))
+    return _pull_count(pulls, _species(d, xi.b), d.modulus.n, eta.a, eta.b)
 
 
 class RestrictionMode(Enum):
@@ -225,6 +274,8 @@ class World:
 
     def count(self, xi: DualNumber, eta: DualNumber) -> int:
         n = self.modulus.n
+        if xi.modulus.n != n or eta.modulus.n != n:
+            raise ModulusMismatch("step and world moduli differ")
         return self.counts[n * xi.a + xi.b][n * eta.a + eta.b]
 
     def count_at(self, x: int, k: int, y: int, l: int) -> int:
@@ -247,7 +298,10 @@ class World:
 
     def successors(self, xi: DualNumber) -> list:
         """Valid successors of xi with their counts, sorted by (cantus, interval)."""
-        return list(self._successor_rows[self.modulus.n * xi.a + xi.b])
+        n = self.modulus.n
+        if xi.modulus.n != n:
+            raise ModulusMismatch("interval and world moduli differ")
+        return list(self._successor_rows[n * xi.a + xi.b])
 
     @cached_property
     def _successor_rows(self) -> tuple:
@@ -265,20 +319,53 @@ class World:
 
 
 def _histogram(counts: Sequence[bytes], pad_to: int) -> dict:
+    """Frequency of every count from 0 up to the largest one (at least pad_to).
+
+    Counts upward until the counted mass is every cell, so the largest
+    count is the last bin with mass and needs no scan of its own.
+    """
     flat = b"".join(counts)
-    return {c: flat.count(c) for c in range(max(max(flat), pad_to) + 1)}
+    histogram = {}
+    mass = c = 0
+    while mass < len(flat) or c <= pad_to:
+        histogram[c] = flat.count(c)
+        mass += histogram[c]
+        c += 1
+    return histogram
 
 
 def _engine_class_table(d: Dichotomy) -> tuple:
-    """Slab k holds T[k][n*d + l] = count(0+ek -> d+el) as n^2 bytes."""
-    n = d.modulus.n
+    """Slab k holds T[k][n*d + l] = count(0+ek -> d+el) as n^2 bytes.
+
+    Block y of slab k is a sum of species rows: pull-back (a, b, t) carries
+    y+el into the species iff a*l + c does, with c = (b*y + t) mod n, so it
+    adds R_a[c], whose byte lane l is that indicator.  Rows are added as
+    integers, one byte lane per l; a lane cannot carry past 255 pull-backs.
+    """
+    p = _polarity_or_raise(d)
+    m = d.modulus
+    n = m.n
+    solutions = _c2_solutions(n, p.v)
+    tables = {}
+    for species in (d.half, d.complement()):
+        species_rows = {}
+        for a in m.units():
+            # a*l + c = a*(l + r) with r = c/a, so R_a[c] is R_a[0] rotated by r lanes.
+            lanes = bytes((a * l) % n in species for l in range(n)) * 2
+            ai = pow(a, -1, n)
+            species_rows[a] = [int.from_bytes(lanes[ai * c % n:][:n], "big") for c in range(n)]
+        tables[species] = (_c3_scores(m, species), species_rows)
     slabs = []
     for k in range(n):
-        pulls = _pullbacks(d, DualNumber(0, k, d.modulus))
-        species = _species(d, k)
-        slabs.append(
-            bytes(_pull_count(pulls, species, n, y, l) for y in range(n) for l in range(n))
-        )
+        scores, species_rows = tables[_species(d, k)]
+        parts = _symmetry_parts(d, 0, k, scores, solutions)
+        pulls = _pullbacks(DualAffineMap(a, b, s, t, m) for a, b, s, t in parts)
+        if len(pulls) > 255:
+            raise ValueError(f"{len(pulls)} pull-backs of 0+e{k} overflow a byte count")
+        slabs.append(b"".join(
+            sum(species_rows[a][(b * y + t) % n] for a, b, t in pulls).to_bytes(n, "big")
+            for y in range(n)
+        ))
     return tuple(slabs)
 
 
@@ -308,7 +395,7 @@ def _gate(label: str, n: int, counts: tuple, histogram: dict) -> None:
                 f"fux world failed its calibration gate: step "
                 f"{x}+e{k} -> {y}+e{l} has count {got}, expected {want}"
             )
-    if max(max(row) for row in counts) != FUX_MAX_STEP_COUNT:
+    if max(c for c, f in histogram.items() if f) != FUX_MAX_STEP_COUNT:
         raise GateFailure(
             "fux world failed its calibration gate: maximum step count "
             f"!= {FUX_MAX_STEP_COUNT}"

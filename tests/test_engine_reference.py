@@ -1,0 +1,130 @@
+"""The symmetry engine against a direct reference implementation.
+
+The reference scans every translation t for C2, sums each candidate's C3
+overlap score over all n cantus positions, and fills each class-table cell
+by counting pull-backs one by one.  The engine solves C2 from a residue
+lookup, reads C3 scores from the gcd closed form and sums slabs from
+species rows; both must give the same symmetries and the same bytes.
+"""
+
+import random
+from functools import lru_cache
+from math import gcd
+
+import pytest
+
+from counterpoint import (
+    Dichotomy,
+    DualAffineMap,
+    DualNumber,
+    Modulus,
+    counterpoint_symmetries,
+    strong_atlas,
+)
+from counterpoint import worlds
+
+
+@lru_cache(maxsize=None)
+def strong_dichotomies(n: int) -> tuple:
+    modulus = Modulus(n)
+    return tuple(
+        Dichotomy(frozenset(c.canonical_representative), modulus) for c in strong_atlas(modulus)
+    )
+
+
+def reference_symmetries(d: Dichotomy, xi: DualNumber) -> list:
+    """Fiber pool, C2 by scanning every t, C1, C3 by summing each candidate's score."""
+    p = worlds._polarity_or_raise(d)
+    n = d.modulus.n
+    x, k = xi.a, xi.b
+    species = worlds._species(d, k)
+    opposite = d.half if species is not d.half else d.complement()
+    j_rows = dict(worlds._overlap_rows(d.modulus, species))
+    best_score, best = -1, []
+    for a in d.modulus.units():
+        ai = pow(a, -1, n)
+        s = x * (1 - a) % n
+        for b in range(n):
+            rhs = (p.u * (1 - a) - b * (1 - p.v) * x) % n
+            for t in range(n):
+                if t * (1 - p.v) % n != rhs:
+                    continue
+                if ai * (k - b * x - t) % n not in opposite:
+                    continue
+                score = sum(j_rows[a][(b * y + t) % n] for y in range(n))
+                if score > best_score:
+                    best_score, best = score, []
+                if score == best_score:
+                    best.append(DualAffineMap(a, b, s, t, d.modulus))
+    return sorted(best)
+
+
+def reference_class_table(d: Dichotomy) -> tuple:
+    """Slab k, cell (y, l): the pull-backs of 0+ek's symmetries carrying y+el into its species."""
+    n = d.modulus.n
+    slabs = []
+    for k in range(n):
+        pulls = [g.invert() for g in reference_symmetries(d, DualNumber(0, k, d.modulus))]
+        species = worlds._species(d, k)
+        slabs.append(bytes(
+            sum(1 for g in pulls if (g.a * l + g.b * y + g.t) % n in species)
+            for y in range(n)
+            for l in range(n)
+        ))
+    return tuple(slabs)
+
+
+@pytest.mark.parametrize("n", (6, 8, 10, 12))
+def test_symmetries_match_the_reference_at_every_interval(n):
+    modulus = Modulus(n)
+    for d in strong_dichotomies(n):
+        for x in range(n):
+            for k in range(n):
+                xi = DualNumber(x, k, modulus)
+                assert counterpoint_symmetries(d, xi) == reference_symmetries(d, xi)
+
+
+def test_symmetries_match_the_reference_on_a_seeded_sample_at_n14():
+    modulus = Modulus(14)
+    rng = random.Random(1414)
+    for _ in range(60):
+        d = rng.choice(strong_dichotomies(14))
+        xi = DualNumber(rng.randrange(14), rng.randrange(14), modulus)
+        assert counterpoint_symmetries(d, xi) == reference_symmetries(d, xi)
+
+
+@pytest.mark.parametrize("n", (6, 8, 10, 12, 14))
+def test_class_table_is_byte_identical_to_the_reference(n):
+    for d in strong_dichotomies(n):
+        assert worlds._engine_class_table(d) == reference_class_table(d)
+
+
+@pytest.mark.parametrize("n", range(6, 17, 2))
+def test_c3_score_closed_form_equals_the_direct_sum(n):
+    modulus = Modulus(n)
+    for d in strong_dichotomies(n):
+        for species in (d.half, d.complement()):
+            scores = worlds._c3_scores(modulus, species)
+            j_rows = dict(worlds._overlap_rows(modulus, species))
+            assert sorted(scores) == list(modulus.units())
+            for a, j_row in j_rows.items():
+                for b in range(n):
+                    g = gcd(b, n)
+                    for t in range(n):
+                        direct = sum(j_row[(b * y + t) % n] for y in range(n))
+                        assert scores[a][b][t] == direct
+                        assert direct == g * sum(j_row[t % g + j * g] for j in range(n // g))
+
+
+def test_c2_solutions_are_every_t_solving_the_congruence():
+    for n in range(6, 17, 2):
+        for v in Modulus(n).units():
+            solutions = worlds._c2_solutions(n, v)
+            for r in range(n):
+                assert solutions[r] == [t for t in range(n) if t * (1 - v) % n == r]
+
+
+def test_more_than_255_pullbacks_is_refused_not_wrapped(monkeypatch):
+    monkeypatch.setattr(worlds, "_symmetry_parts", lambda *args: [(1, 0, 0, 0)] * 256)
+    with pytest.raises(ValueError, match="256 pull-backs"):
+        worlds._engine_class_table(Dichotomy.fux())

@@ -132,6 +132,34 @@ class TestCounterpointSymmetries:
             assert step_count(d, xi, eta) == fux_world.count(xi, eta)
 
 
+class TestModulusChecks:
+    """Every interval handed to a world or the engine must carry its modulus."""
+
+    MOD10 = Modulus(10)
+
+    def test_count_checks_both_ends(self, fux_world):
+        with pytest.raises(ModulusMismatch):
+            fux_world.count(DualNumber(0, 3, self.MOD10), DualNumber(2, 4, self.MOD10))
+        with pytest.raises(ModulusMismatch):
+            fux_world.count(DualNumber(0, 3), DualNumber(2, 4, self.MOD10))
+        with pytest.raises(ModulusMismatch):
+            fux_world.count(DualNumber(0, 3, self.MOD10), DualNumber(2, 4))
+        n10 = build_world(Dichotomy(frozenset({0, 1, 2, 3, 5}), self.MOD10))
+        with pytest.raises(ModulusMismatch):
+            n10.count(DualNumber(11, 11), DualNumber(0, 0, self.MOD10))
+
+    def test_successors_checks_the_interval(self, fux_world):
+        with pytest.raises(ModulusMismatch):
+            fux_world.successors(DualNumber(0, 3, self.MOD10))
+
+    def test_step_count_checks_both_ends(self):
+        d = Dichotomy.fux()
+        with pytest.raises(ModulusMismatch):
+            step_count(d, DualNumber(0, 3, self.MOD10), DualNumber(2, 4, self.MOD10))
+        with pytest.raises(ModulusMismatch):
+            step_count(d, DualNumber(0, 3), DualNumber(2, 4, self.MOD10))
+
+
 class TestWorldConstruction:
     def test_fux_histogram(self, fux_world):
         assert fux_world.histogram == FUX_HISTOGRAM
