@@ -328,9 +328,9 @@ def _upper_gamma_cf(a: float, z: float) -> float:
 
 def chi_square_sf(x: float, df: int) -> float:
     """Survival function of the chi-square distribution, Q(df/2, x/2)."""
-    if df < 1:
+    if not df >= 1:  # written so that NaN is rejected too
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"statistic must be non-negative, got {x}")
     if x == 0:
         return 1.0

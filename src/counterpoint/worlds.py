@@ -18,22 +18,31 @@ S (the marked half K if k is marked, else the complement D):
   * C3 (maximality): |g(S[eps]) cap S[eps]| is maximal among candidates
     passing C1 and C2.
 
-C2 is solved for t by a residue -> solutions lookup.  The C3 score of a
-candidate is sum_y J[a][(b*y + t) mod n] with J[a][w] = |(a*S + w) cap S|;
-as y -> b*y covers the multiples of g = gcd(b, n) g times each, it equals
-g * sum_{j < n/g} J[a][(t mod g) + j*g], read from a table built once per
-species and call.
+The engine solves cantus 0 only.  There s = 0, and C2 and C1 do not
+depend on b: C2 reads t(1 - v) = u(1 - a) and is solved for t by a
+residue -> solutions lookup, and C1 asks a^-1(k - t) to lie in the opposite
+species, so each unit a's passing translations are found once.  The C3
+score of a candidate is sum_y J[a][(b*y + t) mod n] with
+J[a][w] = |(a*S + w) cap S|; as y -> b*y covers the multiples of
+g = gcd(b, n) g times each, it equals g * sum_{j < n/g} J[a][(t mod g) + j*g],
+so each passing t is scored once per divisor g of n and the best (a, g, t)
+expand to every b with gcd(b, n) = g.
+
+Every other cantus is reached by conjugating with the translation by x,
+which carries the fiber pool, the transported polarity and both species
+onto themselves: the symmetries of x+ek are (a, b, x(1 - a), t - b*x) for
+the symmetries (a, b, 0, t) of 0+ek.
 
 The count of a step xi -> eta is the number of surviving symmetries whose
 preimage of eta has interval part back in the source species S.
 
-A count depends only on the translation class (k, d, l) with d = y - x:
-moving the cantus by x carries the fiber pool, the transported polarity and
-both species onto themselves.  So every world is built from its n^3 class
-table T[k][d][l] = count(0+ek -> d+el), computed from the n source
-intervals 0+ek, and expanded to the n^2 x n^2 count matrix.  Each slab of
-the class table is summed from species rows: a pull-back (a, b, t) adds, at
-cantus offset y, the row R_a[(b*y + t) mod n] whose byte lane l says whether
+So a count depends only on the translation class (k, d, l) with d = y - x,
+and every world is built from its n^3 class table T[k][d][l] =
+count(0+ek -> d+el), computed from the n source intervals 0+ek, and
+expanded to the n^2 x n^2 count matrix.  The pull-back of a symmetry
+(a, b, 0, t) is (a^-1, -a^-2 b, 0, -a^-1 t).  Each slab of the class table
+is summed from species rows: a pull-back (a, b, t) adds, at cantus offset y,
+the row R_a[(b*y + t) mod n] whose byte lane l says whether
 a*l + (b*y + t) lies in the species.
 
 Every build is gated: the Fuxian world is computed by this engine and must
@@ -149,22 +158,18 @@ def _overlap_rows(modulus: Modulus, species: frozenset) -> tuple:
 
 
 def _c3_scores(modulus: Modulus, species: frozenset) -> dict:
-    """a -> per b, the C3 scores sum_y J[a][(b*y + t) mod n] as a row over t.
+    """a -> {g: C3 score per coset t mod g} for every divisor g of n.
 
-    y -> b*y covers the multiples of g = gcd(b, n), each g times, so the
-    score is g * sum_{j < n/g} J[a][(t mod g) + j*g]: one row per divisor g
-    of n, shared by every b with that gcd.
+    The score sum_y J[a][(b*y + t) mod n] of (a, b, t) depends on b only
+    through g = gcd(b, n) and on t only through t mod g: y -> b*y covers the
+    multiples of g, each g times, so it is g * sum_{j < n/g} J[a][(t mod g) + j*g].
     """
     n = modulus.n
-    gcds = [gcd(b, n) for b in range(n)]
-    scores = {}
-    for a, j_row in _overlap_rows(modulus, species):
-        by_g = {}
-        for g in set(gcds):
-            cosets = [g * sum(j_row[r::g]) for r in range(g)]
-            by_g[g] = [cosets[t % g] for t in range(n)]
-        scores[a] = [by_g[g] for g in gcds]
-    return scores
+    divisors = [g for g in range(1, n + 1) if n % g == 0]
+    return {
+        a: {g: [g * sum(j_row[r::g]) for r in range(g)] for g in divisors}
+        for a, j_row in _overlap_rows(modulus, species)
+    }
 
 
 def _c2_solutions(n: int, v: int) -> list:
@@ -175,55 +180,56 @@ def _c2_solutions(n: int, v: int) -> list:
     return solutions
 
 
-def _symmetry_parts(d: Dichotomy, x: int, k: int, scores: dict, solutions: list) -> list:
-    """(a, b, s, t) of every symmetry of x+ek, ascending.
+def _symmetry_parts(d: Dichotomy, k: int, scores: dict, solutions: list) -> list:
+    """(a, b, t) of every symmetry (a, b, 0, t) of 0+ek, ascending.
 
     ``scores`` is :func:`_c3_scores` of k's species and ``solutions`` is
-    :func:`_c2_solutions` of the polarity's v.
+    :func:`_c2_solutions` of the polarity's v.  At cantus 0, C2 and C1 do
+    not involve b, so each unit's passing translations are found once,
+    scored once per divisor g of n, and the best (a, g, t) are expanded to
+    every b with gcd(b, n) = g.
     """
     p = _polarity_or_raise(d)
     n = d.modulus.n
     opposite = d.complement() if _species(d, k) is d.half else d.half
     best_score = -1
     best: List[tuple] = []
-    u, v = p.u, p.v
-    for a, rows in scores.items():
+    for a, by_g in scores.items():
         ai = pow(a, -1, n)
-        s = x * (1 - a) % n
-        rhs_base = u * (1 - a) % n
-        for b in range(n):
-            row = rows[b]
-            bx = b * x
-            # C2 on the fiber pool: t(1 - v) = u(1 - a) - b(1 - v)x mod n.
-            for t in solutions[(rhs_base - bx * (1 - v)) % n]:
-                # C1: interval part of g^{-1}(xi) lies in the opposite
-                # species; on the fiber pool it reduces to ai*(k - bx - t).
-                if ai * (k - bx - t) % n not in opposite:
-                    continue
-                score = row[t]
+        # C2: t(1 - v) = u(1 - a); C1: a^-1(k - t), the interval part of
+        # g^-1(0+ek), lies in the opposite species.
+        ts = [t for t in solutions[p.u * (1 - a) % n] if ai * (k - t) % n in opposite]
+        for g, cosets in by_g.items():
+            for t in ts:
+                score = cosets[t % g]
                 if score > best_score:
                     best_score = score
-                    best = [(a, b, s, t)]
+                    best = [(a, g, t)]
                 elif score == best_score:
-                    best.append((a, b, s, t))
-    return sorted(best)
+                    best.append((a, g, t))
+    return sorted(
+        (a, b, t) for a, g, t in best for b in range(0, n, g) if gcd(b, n) == g
+    )
 
 
 def counterpoint_symmetries(d: Dichotomy, xi: DualNumber) -> list:
     """All symmetries for the interval xi: fiber pool + C2 + C1 + C3.
 
-    Returned maps are sorted; the step count toward a successor eta is
-    ``sum(1 for g in result if preimage interval of eta under g is in
-    xi's species)`` — see :func:`step_count`.
+    The symmetries of x+ek are those of 0+ek conjugated by the translation
+    by x, (a, b, 0, t) -> (a, b, x(1 - a), t - b*x).  Returned maps are
+    sorted; the step count toward a successor eta is ``sum(1 for g in result
+    if preimage interval of eta under g is in xi's species)`` — see
+    :func:`step_count`.
     """
     if xi.modulus != d.modulus:
         raise ModulusMismatch("interval and dichotomy moduli differ")
     p = _polarity_or_raise(d)
-    scores = _c3_scores(d.modulus, _species(d, xi.b))
-    solutions = _c2_solutions(d.modulus.n, p.v)
+    m = d.modulus
+    n, x = m.n, xi.a
+    parts = _symmetry_parts(d, xi.b, _c3_scores(m, _species(d, xi.b)), _c2_solutions(n, p.v))
     return [
-        DualAffineMap(a, b, s, t, d.modulus)
-        for a, b, s, t in _symmetry_parts(d, xi.a, xi.b, scores, solutions)
+        DualAffineMap(a, b, s, t, m)
+        for a, b, s, t in sorted((a, b, x * (1 - a) % n, (t - b * x) % n) for a, b, t in parts)
     ]
 
 
@@ -346,22 +352,23 @@ def _engine_class_table(d: Dichotomy) -> tuple:
     m = d.modulus
     n = m.n
     solutions = _c2_solutions(n, p.v)
+    inverse = {a: pow(a, -1, n) for a in m.units()}
     tables = {}
     for species in (d.half, d.complement()):
         species_rows = {}
-        for a in m.units():
+        for a, ai in inverse.items():
             # a*l + c = a*(l + r) with r = c/a, so R_a[c] is R_a[0] rotated by r lanes.
             lanes = bytes((a * l) % n in species for l in range(n)) * 2
-            ai = pow(a, -1, n)
             species_rows[a] = [int.from_bytes(lanes[ai * c % n:][:n], "big") for c in range(n)]
         tables[species] = (_c3_scores(m, species), species_rows)
     slabs = []
     for k in range(n):
         scores, species_rows = tables[_species(d, k)]
-        parts = _symmetry_parts(d, 0, k, scores, solutions)
-        pulls = _pullbacks(DualAffineMap(a, b, s, t, m) for a, b, s, t in parts)
-        if len(pulls) > 255:
-            raise ValueError(f"{len(pulls)} pull-backs of 0+e{k} overflow a byte count")
+        parts = _symmetry_parts(d, k, scores, solutions)
+        if len(parts) > 255:
+            raise ValueError(f"{len(parts)} pull-backs of 0+e{k} overflow a byte count")
+        # g = (a, b, 0, t) has g^-1 = (a^-1, -a^-2 b, 0, -a^-1 t).
+        pulls = [(inverse[a], -inverse[a] ** 2 * b % n, -inverse[a] * t % n) for a, b, t in parts]
         slabs.append(b"".join(
             sum(species_rows[a][(b * y + t) % n] for a, b, t in pulls).to_bytes(n, "big")
             for y in range(n)

@@ -1,4 +1,4 @@
-"""Acceptance gate: nine primary criteria, one visible PASS/FAIL line each.
+"""Acceptance gate: ten primary criteria, one visible PASS/FAIL line each.
 
 Run with ``pytest tests/test_acceptance.py``; each criterion prints its
 verdict to the real stdout even under capture, then asserts.
@@ -399,5 +399,50 @@ def test_criterion_9_property_suites(fux_world, mystic_world, verdict):
     verdict(
         9,
         "covariance, pool closure, involutivity, commutation agreement, df=2 analytic",
+        failures,
+    )
+
+
+# Observed tallies for the paper's two passages: counts per category, fux
+# over 0..5 and mystic over {0, 1, 2, 4}.  They are inferred from the
+# published sample size, mean and chi-square of each (passage, world) pair,
+# as the one tally per pair that hits those anchors (the quoted p decides
+# between two candidates for fux on passage 1); they are not Scriabin's notes.
+PAPER_TALLIES = (
+    # (passage, world, n, tally, chi-square, p, d, CI or None)
+    (1, "fux", 30, (11, 2, 13, 4, 0, 0), "7.831936", "0.165744", "-0.061", ("-0.3614", "0.2393")),
+    (1, "mystic", 30, (7, 3, 10, 10), "57.720714", "1.80e-12", "1.439", None),
+    (2, "fux", 52, (7, 8, 34, 1, 2, 0), "36.384627", "7.96e-07", "0.1878", None),
+    (2, "mystic", 52, (37, 2, 9, 4), "0.571841", "0.902847", "0.1506", None),
+)
+
+
+def _printed_like(value: float, quoted: str) -> str:
+    """``value`` printed with as many decimals as ``quoted``, in its fixed or exponent form."""
+    mantissa, _, exponent = quoted.partition("e")
+    return f"{value:.{len(mantissa.partition('.')[2])}{'e' if exponent else 'f'}}"
+
+
+def test_criterion_10_paper_table_from_observed_tallies(fux_world, mystic_world, verdict):
+    failures: list = []
+    worlds = {"fux": fux_world, "mystic": mystic_world}
+    for passage, name, n, tally, chi2, p, d, ci in PAPER_TALLIES:
+        where = f"passage {passage} {name}"
+        pop = PopulationSpec.from_histogram(worlds[name].histogram)
+        observations = [c for c, f in zip(pop.support, tally, strict=True) for _ in range(f)]
+        sample = sample_summary(observations, pop.support)
+        chi = chi_square_gof(sample, pop)
+        effect = effect_size(sample, pop)
+        _check(failures, sample.n == n, f"{where}: n {sample.n} != {n}")
+        _check(failures, chi.yates and chi.df == len(tally) - 1, f"{where}: not Yates, unpooled")
+        figures = {"chi2": (chi.statistic, chi2), "p": (chi.p_value, p), "d": (effect.d, d)}
+        if ci is not None:
+            figures.update({"CI low": (effect.ci_low, ci[0]), "CI high": (effect.ci_high, ci[1])})
+        for label, (value, quoted) in figures.items():
+            got = _printed_like(value, quoted)
+            _check(failures, got == quoted, f"{where}: {label} {got} != {quoted}")
+    verdict(
+        10,
+        "paper's table from observed tallies: chi-square, p, d and CI through the real chain",
         failures,
     )

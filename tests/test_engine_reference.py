@@ -2,9 +2,10 @@
 
 The reference scans every translation t for C2, sums each candidate's C3
 overlap score over all n cantus positions, and fills each class-table cell
-by counting pull-backs one by one.  The engine solves C2 from a residue
-lookup, reads C3 scores from the gcd closed form and sums slabs from
-species rows; both must give the same symmetries and the same bytes.
+by counting pull-backs one by one.  The engine solves cantus 0 only (C2
+from a residue lookup, C3 scores from the gcd closed form), reaches every
+other cantus by conjugating with a translation, and sums slabs from species
+rows; both must give the same symmetries and the same bytes.
 """
 
 import random
@@ -93,6 +94,19 @@ def test_symmetries_match_the_reference_on_a_seeded_sample_at_n14():
         assert counterpoint_symmetries(d, xi) == reference_symmetries(d, xi)
 
 
+@pytest.mark.parametrize("n", range(6, 17, 2))
+def test_symmetries_are_translation_covariant(n):
+    """The symmetries of x+ek are T_x g T_-x for the symmetries g of 0+ek."""
+    modulus = Modulus(n)
+    for d in strong_dichotomies(n):
+        for k in range(n):
+            at_zero = counterpoint_symmetries(d, DualNumber(0, k, modulus))
+            for x in range(n):
+                shift, back = DualAffineMap(1, 0, x, 0, modulus), DualAffineMap(1, 0, -x, 0, modulus)
+                conjugated = sorted(shift.compose(g).compose(back) for g in at_zero)
+                assert counterpoint_symmetries(d, DualNumber(x, k, modulus)) == conjugated
+
+
 @pytest.mark.parametrize("n", (6, 8, 10, 12, 14))
 def test_class_table_is_byte_identical_to_the_reference(n):
     for d in strong_dichotomies(n):
@@ -112,7 +126,7 @@ def test_c3_score_closed_form_equals_the_direct_sum(n):
                     g = gcd(b, n)
                     for t in range(n):
                         direct = sum(j_row[(b * y + t) % n] for y in range(n))
-                        assert scores[a][b][t] == direct
+                        assert scores[a][g][t % g] == direct
                         assert direct == g * sum(j_row[t % g + j * g] for j in range(n // g))
 
 
@@ -125,6 +139,6 @@ def test_c2_solutions_are_every_t_solving_the_congruence():
 
 
 def test_more_than_255_pullbacks_is_refused_not_wrapped(monkeypatch):
-    monkeypatch.setattr(worlds, "_symmetry_parts", lambda *args: [(1, 0, 0, 0)] * 256)
+    monkeypatch.setattr(worlds, "_symmetry_parts", lambda *args: [(1, 0, 0)] * 256)
     with pytest.raises(ValueError, match="256 pull-backs"):
         worlds._engine_class_table(Dichotomy.fux())

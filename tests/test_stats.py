@@ -334,3 +334,15 @@ class TestChiSquareSurvival:
             chi_square_sf(-1.0, 3)
         with pytest.raises(ValueError):
             chi_square_sf(1.0, 0)
+
+    def test_rejects_nan_statistic(self):
+        with pytest.raises(ValueError, match="statistic must be non-negative"):
+            chi_square_sf(float("nan"), 3)
+
+    def test_rejects_nan_degrees_of_freedom(self):
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            chi_square_sf(1.0, float("nan"))
+
+    def test_infinite_statistic_has_zero_tail(self):
+        for df in (1, 3, 5):
+            assert chi_square_sf(float("inf"), df) == 0.0
