@@ -99,4 +99,5 @@ from .score_io import (
     score_against_world,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public names above, without the submodules their imports bind.
+__all__ = [n for n in dir() if n[0] != "_" and type(globals()[n]) is not type(stats)]

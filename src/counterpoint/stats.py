@@ -1,8 +1,9 @@
 """Sample statistics against world populations.
 
 Populations come from world histograms (exact rational category
-probabilities); samples are sequences of per-step symmetry counts.  Both
-are summarized from a ``{value: frequency}`` tally in exact arithmetic.  The
+probabilities); a sample is built one way, by ``sample_summary`` from a
+sequence of per-step symmetry counts.  Both are summarized from a
+``{value: frequency}`` tally in exact arithmetic.  The
 module provides standardized effect sizes with normal-quantile confidence
 intervals and a chi-square goodness-of-fit test with optional Yates
 continuity correction, backed by a self-contained chi-square survival
@@ -106,15 +107,6 @@ class SampleSummary:
 
     def observed_map(self) -> dict:
         return dict(self.observed)
-
-    @classmethod
-    def from_moments(
-        cls, n: int, mean: Fraction, sd: float = 0.0
-    ) -> "SampleSummary":
-        """Moment-only summary (no histogram), enough for effect sizes."""
-        if n < 1:
-            raise EmptySample("sample size must be at least 1")
-        return cls(n, (), (), Fraction(mean), sd, SdDivisor.N)
 
 
 def sample_summary(
@@ -240,18 +232,20 @@ def chi_square_gof(
     clamped at zero, in every category.  ``merge_low_expected`` pools
     adjacent categories until every expected count reaches 5, a short tail
     joining the group before it (off by default: small expected counts are
-    kept as-is).
+    kept as-is).  Every observation counts, whatever support the sample
+    was summarized over; one outside ``pop.support`` raises ``EmptyCategory``.
     """
-    if sample.has_overflow:
+    observed_map = Counter(sample.observed_map()) + Counter(sample.overflow_values)
+    outside = sorted(c for c in observed_map if c not in pop.probabilities)
+    if outside:
         raise EmptyCategory(
-            f"observed values {sorted(set(sample.overflow_values))} lie outside "
+            f"observed values {outside} lie outside "
             "the population support (expected frequency zero)"
         )
-    observed_map = sample.observed_map()
     cells = [
         (
             (cat,),
-            observed_map.get(cat, 0),
+            observed_map[cat],
             float(sample.n * pop.probabilities[cat]),
         )
         for cat in pop.support

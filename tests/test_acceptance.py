@@ -14,9 +14,7 @@ import pytest
 from counterpoint import (
     Dichotomy,
     Modulus,
-    PopulationSpec,
     RestrictionMode,
-    SampleSummary,
     ScoreFormat,
     all_class_orbit_sizes,
     build_world,
@@ -37,6 +35,7 @@ from counterpoint import (
     COLUMN_CANTUS,
 )
 from counterpoint.worlds import commutes_algebraic, commutes_pointwise
+from paper_witnesses import PAPER_TALLIES, WITNESSES, witness_sample
 
 FUX_HISTOGRAM = {0: 6720, 1: 4992, 2: 5568, 3: 1440, 4: 1152, 5: 864}
 MYSTIC_HISTOGRAM = {0: 16128, 1: 576, 2: 2880, 3: 0, 4: 1152, 5: 0}
@@ -122,9 +121,9 @@ def test_criterion_3_moments_and_derived_sd(fux_world, mystic_world, verdict):
         mys_m.note is not None and "1.9026" in mys_m.note,
         "mystic sd discrepancy note missing",
     )
-    pop = PopulationSpec.from_histogram(mystic_world.histogram)
-    big = effect_size(SampleSummary.from_moments(30, Fraction("2.1")), pop)
-    small = effect_size(SampleSummary.from_moments(52, Fraction(9, 13)), pop)
+    # Effect sizes of the two synthetic witness passages in the mystic world.
+    big = effect_size(*witness_sample(1, mystic_world))
+    small = effect_size(*witness_sample(2, mystic_world))
     _check(failures, abs(big.d - 1.438) <= 2e-3, f"effect size {big.d:.4f} != 1.438 +- 0.002")
     _check(failures, abs(small.d - 0.151) <= 2e-3, f"effect size {small.d:.4f} != 0.151 +- 0.002")
     verdict(
@@ -153,9 +152,10 @@ def test_criterion_4_probabilities_and_independence(fux_world, mystic_world, ver
 def test_criterion_5_statistics_anchors(fux_world, verdict):
     failures: list = []
 
-    # Effect-size anchor at n = 30 against the marked-half population.
-    pop = PopulationSpec.from_histogram(fux_world.histogram)
-    res = effect_size(SampleSummary.from_moments(30, Fraction("1.3333")), pop)
+    # Effect-size anchor at n = 30 against the marked-half population, from
+    # the synthetic passage-1 witness.
+    sample, pop = witness_sample(1, fux_world)
+    res = effect_size(sample, pop)
     _check(failures, res.d < 0, f"effect size sign {res.d:+.4f}, expected negative")
     _check(
         failures,
@@ -174,9 +174,11 @@ def test_criterion_5_statistics_anchors(fux_world, verdict):
         f"CI [{low:.4f}, {high:.4f}] does not reproduce [-0.239, 0.362] at print precision",
     )
 
-    # Survival-function anchors.  The quoted pair (7.83, 0.16575) is
-    # internally inconsistent with any correct survival function by 1e-4;
-    # both halves are pinned: the function must equal the closed form at
+    # Survival-function anchors.  The quoted pair (7.83, 0.16575) is one
+    # statistic at two precisions: the passage-1 fux statistic is 7.831936
+    # (criterion 10), printed at two decimals, while the quoted tail belongs
+    # to the unrounded statistic (sf 0.165744 there, 0.165857 at 7.83 itself).
+    # Both halves are pinned: the function must equal the closed form at
     # 7.83 exactly, and the quoted tail must correspond to a statistic that
     # prints as 7.83 (two decimals).
     closed = math.erfc(math.sqrt(7.83 / 2)) + math.sqrt(
@@ -373,12 +375,12 @@ def test_criterion_9_property_suites(fux_world, mystic_world, verdict):
     # Involutivity of both preset polarities, globally and at every cantus.
     for d in (Dichotomy.fux(), Dichotomy.mystic()):
         p = strength(d).polarity
-        _check(failures, p.compose(p).is_identity, f"{d.render()} polarity not involutive")
+        _check(failures, p.compose(p).is_identity(), f"{d.render()} polarity not involutive")
         for x in range(n):
             local = local_polarity(d, x)
             _check(
                 failures,
-                local.compose(local).is_identity,
+                local.compose(local).is_identity(),
                 f"local polarity at cantus {x} not involutive",
             )
 
@@ -403,20 +405,6 @@ def test_criterion_9_property_suites(fux_world, mystic_world, verdict):
     )
 
 
-# Observed tallies for the paper's two passages: counts per category, fux
-# over 0..5 and mystic over {0, 1, 2, 4}.  They are inferred from the
-# published sample size, mean and chi-square of each (passage, world) pair,
-# as the one tally per pair that hits those anchors (the quoted p decides
-# between two candidates for fux on passage 1); they are not Scriabin's notes.
-PAPER_TALLIES = (
-    # (passage, world, n, tally, chi-square, p, d, CI or None)
-    (1, "fux", 30, (11, 2, 13, 4, 0, 0), "7.831936", "0.165744", "-0.061", ("-0.3614", "0.2393")),
-    (1, "mystic", 30, (7, 3, 10, 10), "57.720714", "1.80e-12", "1.439", None),
-    (2, "fux", 52, (7, 8, 34, 1, 2, 0), "36.384627", "7.96e-07", "0.1878", None),
-    (2, "mystic", 52, (37, 2, 9, 4), "0.571841", "0.902847", "0.1506", None),
-)
-
-
 def _printed_like(value: float, quoted: str) -> str:
     """``value`` printed with as many decimals as ``quoted``, in its fixed or exponent form."""
     mantissa, _, exponent = quoted.partition("e")
@@ -428,12 +416,18 @@ def test_criterion_10_paper_table_from_observed_tallies(fux_world, mystic_world,
     worlds = {"fux": fux_world, "mystic": mystic_world}
     for passage, name, n, tally, chi2, p, d, ci in PAPER_TALLIES:
         where = f"passage {passage} {name}"
-        pop = PopulationSpec.from_histogram(worlds[name].histogram)
-        observations = [c for c, f in zip(pop.support, tally, strict=True) for _ in range(f)]
-        sample = sample_summary(observations, pop.support)
+        sample, pop = witness_sample(passage, worlds[name])
         chi = chi_square_gof(sample, pop)
         effect = effect_size(sample, pop)
-        _check(failures, sample.n == n, f"{where}: n {sample.n} != {n}")
+        # n + 1 events give n steps only if CONSECUTIVE dedup dropped none.
+        events = len(WITNESSES[passage])
+        _check(
+            failures,
+            sample.n == n == events - 1,
+            f"{where}: n {sample.n} from {events} events != {n}",
+        )
+        observed = tuple(count for _, count in sample.observed)
+        _check(failures, observed == tally, f"{where}: witness tally {observed} != {tally}")
         _check(failures, chi.yates and chi.df == len(tally) - 1, f"{where}: not Yates, unpooled")
         figures = {"chi2": (chi.statistic, chi2), "p": (chi.p_value, p), "d": (effect.d, d)}
         if ci is not None:
@@ -443,6 +437,6 @@ def test_criterion_10_paper_table_from_observed_tallies(fux_world, mystic_world,
             _check(failures, got == quoted, f"{where}: {label} {got} != {quoted}")
     verdict(
         10,
-        "paper's table from observed tallies: chi-square, p, d and CI through the real chain",
+        "paper's table from synthetic witnesses: tallies, chi-square, p, d, CI via the real chain",
         failures,
     )

@@ -8,6 +8,7 @@ import pytest
 
 import counterpoint
 from counterpoint.cli_reports import main
+from paper_witnesses import WITNESS_1, WITNESS_2, witness_csv
 
 TWO_VOICE_SCORE = "\n".join(
     [
@@ -379,9 +380,9 @@ class TestWalk:
 # SHA-256 of stdout for every command in every output form, pinned so that
 # any change to the rendering of a report shows (JSON digests include the
 # tool version).  Run from a directory that holds TWO_VOICE_SCORE as
-# passage.csv, LONG_SCORE as long.csv, DRONE_SCORE as drone.csv and
-# FRACTIONAL_SCORE as fractional.csv, because TEXT analyze prints the path as
-# given.
+# passage.csv, LONG_SCORE as long.csv, DRONE_SCORE as drone.csv,
+# FRACTIONAL_SCORE as fractional.csv and the synthetic paper witnesses as
+# witness1.csv and witness2.csv, because TEXT analyze prints the path as given.
 GOLDEN_STDOUT = [
     ("worlds table --dichotomy fux",
      "3fb0443e9e64f871dfa250ab2735c4789499b44719c8af4aa76b46d253cc6aeb"),
@@ -435,6 +436,14 @@ GOLDEN_STDOUT = [
      "abdfbb1fcd563cb123e4dd28ab8dc7e1011fec45475d4de839d8a0f2619f170e"),
     ("analyze --file fractional.csv --format TWO_VOICE --world fux --output JSON",
      "072fbe374d0e2cc20374b34ebd4afcfd1e5af5e2558092f7f0f918957a36220a"),
+    ("analyze --file witness1.csv --format TWO_VOICE --world fux",
+     "0bbc9d4efb34210fdcb2aca50fdf75b296ee6a1a11c61bde61bc528040fc5eae"),
+    ("analyze --file witness1.csv --format TWO_VOICE --world mystic",
+     "7831bc1064cdad58e13d486747b3b80bbd0e36f999f67996197572abc6b250d8"),
+    ("analyze --file witness2.csv --format TWO_VOICE --world fux",
+     "06067779713db741b204c816c7da9cc3bba05bccc84341914eaa6d99e368131b"),
+    ("analyze --file witness2.csv --format TWO_VOICE --world mystic",
+     "f056e7142f5049583eccb1176aa22543cd4636c0699a52097ebbc982ad3dd042"),
 ]
 
 
@@ -447,6 +456,8 @@ def test_golden_stdout(capsys, monkeypatch, tmp_path, argv, digest):
         ("fractional.csv", FRACTIONAL_SCORE),
     ):
         (tmp_path / name).write_text(score + "\n", encoding="utf-8")
+    for name, events in (("witness1.csv", WITNESS_1), ("witness2.csv", WITNESS_2)):
+        (tmp_path / name).write_text(witness_csv(events), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv.split())
     assert (code, err) == (0, "")
@@ -472,3 +483,12 @@ class TestEntryPoints:
         )
         assert result.returncode == 0
         assert "strong verdict: True" in result.stdout
+
+
+def test_star_import_binds_no_submodule():
+    namespace = {}
+    exec("from counterpoint import *", namespace)
+    assert "sample_summary" in namespace
+    namespace.pop("__builtins__")
+    assert not any(type(value) is type(counterpoint) for value in namespace.values())
+    assert len(counterpoint.__all__) == 78

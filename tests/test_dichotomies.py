@@ -87,7 +87,7 @@ class TestStrength:
         for cls in strong_atlas():
             d = Dichotomy(frozenset(cls.canonical_representative))
             p = strength(d).polarity
-            assert p.compose(p).is_identity
+            assert p.compose(p).is_identity()
 
     def test_strength_is_affine_invariant(self):
         rng = random.Random(7)

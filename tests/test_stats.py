@@ -10,7 +10,6 @@ from counterpoint import (
     EmptyCategory,
     EmptySample,
     PopulationSpec,
-    SampleSummary,
     SdDivisor,
     chi_square_gof,
     chi_square_sf,
@@ -18,6 +17,7 @@ from counterpoint import (
     normal_quantile,
     sample_summary,
 )
+from paper_witnesses import witness_sample
 
 FUX_HISTOGRAM = {0: 6720, 1: 4992, 2: 5568, 3: 1440, 4: 1152, 5: 864}
 MYSTIC_HISTOGRAM = {0: 16128, 1: 576, 2: 2880, 3: 0, 4: 1152, 5: 0}
@@ -106,12 +106,6 @@ class TestSampleSummary:
         assert s.sd == math.sqrt(variance)
         assert s.divisor is divisor
 
-    def test_from_moments(self):
-        s = SampleSummary.from_moments(30, Fraction(21, 10))
-        assert (s.n, s.mean, s.sd) == (30, Fraction(21, 10), 0.0)
-        with pytest.raises(EmptySample):
-            SampleSummary.from_moments(0, Fraction(1))
-
 
 class TestNormalQuantile:
     def test_ninety_percent_two_sided_point(self):
@@ -136,61 +130,68 @@ class TestNormalQuantile:
             normal_quantile(bad)
 
 
+def _twelve_summing_to(total: int) -> list:
+    """Twelve integer counts, as even as possible, with the given sum."""
+    q, r = divmod(total, 12)
+    return [q + 1] * r + [q] * (12 - r)
+
+
 class TestEffectSize:
-    def test_fux_first_passage(self):
-        pop = PopulationSpec.from_histogram(FUX_HISTOGRAM)
-        sample = SampleSummary.from_moments(30, Fraction("1.3333"))
-        res = effect_size(sample, pop)
+    # The per-passage anchors run on the synthetic witness scores.
+    def test_fux_first_passage(self, fux_world):
+        res = effect_size(*witness_sample(1, fux_world))
         assert abs(abs(res.d) - 0.061) < 1e-3
         assert res.d < 0
         assert abs(res.half_width - 0.30031) < 1e-5
 
-    def test_mystic_first_passage(self):
-        pop = PopulationSpec.from_histogram(MYSTIC_HISTOGRAM)
-        sample = SampleSummary.from_moments(30, Fraction("2.1"))
-        res = effect_size(sample, pop)
+    def test_mystic_first_passage(self, mystic_world):
+        res = effect_size(*witness_sample(1, mystic_world))
         assert abs(res.d - 1.4390) < 1e-3
 
-    def test_fux_second_passage(self):
-        pop = PopulationSpec.from_histogram(FUX_HISTOGRAM)
-        sample = SampleSummary.from_moments(52, Fraction(87, 52))
-        res = effect_size(sample, pop)
+    def test_fux_second_passage(self, fux_world):
+        res = effect_size(*witness_sample(2, fux_world))
         assert abs(res.d - 0.1879) < 1e-3
         assert abs(res.ci_low - (-0.0402)) < 1e-3
         assert abs(res.ci_high - 0.4160) < 1e-3
 
-    def test_mystic_second_passage(self):
-        pop = PopulationSpec.from_histogram(MYSTIC_HISTOGRAM)
-        sample = SampleSummary.from_moments(52, Fraction(9, 13))
-        res = effect_size(sample, pop)
+    def test_mystic_second_passage(self, mystic_world):
+        res = effect_size(*witness_sample(2, mystic_world))
         assert abs(res.d - 0.1506) < 1e-3
         assert abs(res.ci_low - (-0.0775)) < 1e-3
         assert abs(res.ci_high - 0.3787) < 1e-3
 
     def test_ci_is_centered(self):
         pop = PopulationSpec.from_histogram(FUX_HISTOGRAM)
-        res = effect_size(SampleSummary.from_moments(30, Fraction(2)), pop)
+        res = effect_size(sample_summary([2] * 30, pop.support), pop)
         assert abs((res.ci_low + res.ci_high) / 2 - res.d) < 1e-12
         assert res.alpha == 0.10
 
-    @given(delta=st.fractions(min_value=Fraction(-3), max_value=Fraction(3)))
-    def test_antisymmetry_around_population_mean(self, delta):
+    @given(
+        plus=st.lists(
+            st.integers(min_value=0, max_value=5), min_size=12, max_size=12
+        ).filter(lambda counts: sum(counts) <= 34)
+    )
+    def test_antisymmetry_around_population_mean(self, plus):
+        # Sums s and 34 - s over n = 12 give means 17/12 +- delta around the
+        # fux mean 17/12.
         pop = PopulationSpec.from_histogram(FUX_HISTOGRAM)
-        plus = effect_size(SampleSummary.from_moments(30, pop.mean + delta), pop)
-        minus = effect_size(SampleSummary.from_moments(30, pop.mean - delta), pop)
-        assert abs(plus.d + minus.d) < 1e-12
+        minus = _twelve_summing_to(34 - sum(plus))
+        assert Fraction(sum(plus) + sum(minus), 24) == pop.mean
+        plus_d = effect_size(sample_summary(plus, pop.support), pop).d
+        minus_d = effect_size(sample_summary(minus, pop.support), pop).d
+        assert abs(plus_d + minus_d) < 1e-12
 
     def test_degenerate_population_rejected(self):
         pop = PopulationSpec.from_histogram({3: 100})
         assert pop.sd == 0
         with pytest.raises(DegeneratePopulation):
-            effect_size(SampleSummary.from_moments(10, Fraction(3)), pop)
+            effect_size(sample_summary([3] * 10, pop.support), pop)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan")])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         pop = PopulationSpec.from_histogram(FUX_HISTOGRAM)
         with pytest.raises(ValueError, match="alpha"):
-            effect_size(SampleSummary.from_moments(30, Fraction(2)), pop, alpha)
+            effect_size(sample_summary([2] * 30, pop.support), pop, alpha)
 
 
 class TestChiSquareGof:
@@ -237,6 +238,24 @@ class TestChiSquareGof:
         assert sample.has_overflow  # 3 has population frequency zero
         with pytest.raises(EmptyCategory):
             chi_square_gof(sample, pop)
+
+    def test_values_outside_population_support_raise_empty_category(self):
+        # Summarized over 0..5, not the mystic support: the six 3s are in
+        # ``observed``, not ``overflow_values``, and must still be rejected.
+        pop = PopulationSpec.from_histogram(MYSTIC_HISTOGRAM)
+        sample = sample_summary([0] * 20 + [3] * 6 + [2] * 4, support=range(6))
+        assert not sample.has_overflow
+        with pytest.raises(EmptyCategory, match=r"observed values \[3\] lie outside"):
+            chi_square_gof(sample, pop)
+
+    def test_result_does_not_depend_on_the_summary_support(self):
+        # Zero counts outside the population support are ignored, and
+        # overflow inside it is counted.
+        pop = PopulationSpec.from_histogram(MYSTIC_HISTOGRAM)
+        counts = [0] * 20 + [2] * 4 + [4] * 6
+        expected = chi_square_gof(sample_summary(counts, support=pop.support), pop)
+        for support in (range(6), range(3)):
+            assert chi_square_gof(sample_summary(counts, support), pop) == expected
 
     def test_merge_low_expected_pools_categories(self):
         pop = PopulationSpec.from_histogram(FUX_HISTOGRAM)

@@ -97,7 +97,7 @@ def test_local_polarity_is_an_involution_swapping_species_at_every_cantus(n):
         d = Dichotomy(frozenset(rep), modulus)
         for x in range(n):
             pol = local_polarity(d, x)
-            assert pol.compose(pol).is_identity
+            assert pol.compose(pol).is_identity()
             for m in range(n):
                 base, eps = pol.apply_pair(x, m)
                 assert base == x

@@ -64,7 +64,7 @@ class TestLocalPolarity:
             d = Dichotomy(frozenset(cls.canonical_representative))
             for x in range(12):
                 pol = local_polarity(d, x)
-                assert pol.compose(pol).is_identity
+                assert pol.compose(pol).is_identity()
 
     def test_weak_dichotomy_rejected(self):
         with pytest.raises(NotStrong):
