@@ -17,7 +17,6 @@ from .residue_algebra import (
     ModulusMismatch,
     NotInvertible,
     ResidueAffineMap,
-    enumerate_dual_symmetries,
 )
 from .dichotomies import (
     AUGMENTED,
@@ -56,8 +55,6 @@ from .worlds import (
     WorldMoments,
     WorldOverlap,
     build_world,
-    commutes_algebraic,
-    commutes_pointwise,
     counterpoint_symmetries,
     local_polarity,
     scale_restriction_report,

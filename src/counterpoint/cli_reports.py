@@ -225,6 +225,8 @@ def cmd_analyze(args) -> dict:
     fmt = ScoreFormat[args.format]
     events = parse_score(text, fmt)
     if args.cantus_policy == "column":
+        if args.cantus_pc is not None:
+            raise ValueError("--cantus-pc applies only with --cantus-policy fixed")
         policy, policy_text = COLUMN_CANTUS, "COLUMN_CANTUS"
     else:
         if args.cantus_pc is None:
@@ -284,6 +286,8 @@ def cmd_analyze(args) -> dict:
 
 def cmd_noll(args) -> dict:
     if args.scan:
+        if args.chord:
+            raise ValueError("give either a chord or --scan wt-triads, not both")
         even = sorted(parse_pitch_class_set("0,2,4,6,8,10"))
         reports = [chord_endomorphisms(frozenset(tri)) for tri in combinations(even, 3)]
         all_false = not any(r.strong_verdict for r in reports)

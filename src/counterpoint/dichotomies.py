@@ -76,9 +76,6 @@ class Dichotomy:
     def complement(self) -> frozenset:
         return frozenset(self.modulus.residues()) - self.half
 
-    def is_consonance(self, k: int) -> bool:
-        return self.modulus.reduce(k) in self.half
-
     def render(self) -> str:
         return ",".join(str(x) for x in sorted(self.half))
 

@@ -7,9 +7,10 @@ translation-covariant, so a step x+ek -> y+el is fully described by the class
 
     count(x+ek -> y+el) = MYSTIC_STEP_TABLE[144*k + 12*d + l].
 
-The table was produced by scripts/derive_step_table.py, which reconstructs it
-deterministically from the fiber-symmetry engine plus the calibration targets
-below, and it is checked against those targets again at every world build.
+The table is fitted, not the output of a rule: scripts/derive_step_table.py
+places its values from the fiber-symmetry engine's counts and breaks ties
+deterministically until the calibration targets below (the fingerprints)
+match.  It is checked against those targets again at every world build.
 
 ``EXPECTED_STEP_HISTOGRAMS`` and the worked-step fingerprints are the
 build-time gates: a world build that fails them aborts rather than hand back

@@ -7,9 +7,9 @@ Conventions
 * Residues are stored canonically in ``[0, n)``; every constructor
   normalizes its inputs.
 * ``compose(f, g)`` means "apply ``g`` first, then ``f``".
-* Textual grammar (bit-exact round-trip): affine maps render as
-  ``e^u.v`` and dual numbers / contrapuntal intervals as ``x+ek``
-  (for example ``0+e3``).
+* Textual grammar: affine maps render as ``e^u.v``; dual numbers /
+  contrapuntal intervals render and parse as ``x+ek`` (for example
+  ``0+e3``), a bit-exact round-trip.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ def _require_same_modulus(a: "Modulus", b: "Modulus") -> None:
         raise ModulusMismatch(f"mixed moduli {a.n} and {b.n}")
 
 
-_AFFINE_RE = re.compile(r"^e\^(\d+)\.(\d+)$")
 _DUAL_RE = re.compile(r"^(\d+)\+e(\d+)$")
 
 
@@ -69,10 +68,6 @@ class ResidueAffineMap:
         object.__setattr__(self, "u", self.u % self.modulus.n)
         object.__setattr__(self, "v", self.v % self.modulus.n)
 
-    @property
-    def is_invertible(self) -> bool:
-        return gcd(self.v, self.modulus.n) == 1
-
     def apply(self, x: int) -> int:
         return (self.v * x + self.u) % self.modulus.n
 
@@ -84,28 +79,11 @@ class ResidueAffineMap:
         _require_same_modulus(self.modulus, g.modulus)
         return ResidueAffineMap(self.u + self.v * g.u, self.v * g.v, self.modulus)
 
-    def invert(self) -> "ResidueAffineMap":
-        if not self.is_invertible:
-            raise NotInvertible(f"{self.render()} has non-unit linear part")
-        vi = pow(self.v, -1, self.modulus.n)
-        return ResidueAffineMap(-vi * self.u, vi, self.modulus)
-
     def is_identity(self) -> bool:
         return self.u == 0 and self.v == 1
 
     def render(self) -> str:
         return f"e^{self.u}.{self.v}"
-
-    @classmethod
-    def parse(cls, text: str, modulus: Modulus = Modulus()) -> "ResidueAffineMap":
-        m = _AFFINE_RE.match(text)
-        if not m:
-            raise ValueError(f"malformed affine map {text!r}; expected e^u.v")
-        return cls(int(m.group(1)), int(m.group(2)), modulus)
-
-    @classmethod
-    def identity(cls, modulus: Modulus = Modulus()) -> "ResidueAffineMap":
-        return cls(0, 1, modulus)
 
     @classmethod
     def all_maps(cls, modulus: Modulus = Modulus()) -> Iterator["ResidueAffineMap"]:
@@ -133,17 +111,6 @@ class DualNumber:
         object.__setattr__(self, "a", self.a % self.modulus.n)
         object.__setattr__(self, "b", self.b % self.modulus.n)
 
-    def add(self, other: "DualNumber") -> "DualNumber":
-        _require_same_modulus(self.modulus, other.modulus)
-        return DualNumber(self.a + other.a, self.b + other.b, self.modulus)
-
-    def mul(self, other: "DualNumber") -> "DualNumber":
-        """(a+eps b)(c+eps d) = ac + eps(ad + bc); the eps**2 term vanishes."""
-        _require_same_modulus(self.modulus, other.modulus)
-        return DualNumber(
-            self.a * other.a, self.a * other.b + self.b * other.a, self.modulus
-        )
-
     def render(self) -> str:
         return f"{self.a}+e{self.b}"
 
@@ -159,9 +126,8 @@ class DualNumber:
 class DualAffineMap:
     """The affine self-map ``z -> (a + eps*b) * z + (s + eps*t)`` of Z_n[eps].
 
-    Stored componentwise as ``(a, b, s, t)``; ``linear`` and ``translation``
-    expose the two dual-number parts.  Invertible iff gcd(a, n) = 1; for
-    n = 12 the invertible maps form a group of 48 * 144 = 6912 elements.
+    Stored componentwise as ``(a, b, s, t)``.  Invertible iff gcd(a, n) = 1;
+    for n = 12 the invertible maps form a group of 48 * 144 = 6912 elements.
     """
 
     a: int
@@ -176,35 +142,8 @@ class DualAffineMap:
             object.__setattr__(self, field, getattr(self, field) % n)
 
     @property
-    def linear(self) -> DualNumber:
-        return DualNumber(self.a, self.b, self.modulus)
-
-    @property
-    def translation(self) -> DualNumber:
-        return DualNumber(self.s, self.t, self.modulus)
-
-    @classmethod
-    def from_parts(cls, linear: DualNumber, translation: DualNumber) -> "DualAffineMap":
-        _require_same_modulus(linear.modulus, translation.modulus)
-        return cls(linear.a, linear.b, translation.a, translation.b, linear.modulus)
-
-    @property
     def is_invertible(self) -> bool:
         return gcd(self.a, self.modulus.n) == 1
-
-    def apply(self, z: DualNumber) -> DualNumber:
-        _require_same_modulus(self.modulus, z.modulus)
-        n = self.modulus.n
-        return DualNumber(
-            (self.a * z.a + self.s) % n,
-            (self.a * z.b + self.b * z.a + self.t) % n,
-            self.modulus,
-        )
-
-    def apply_pair(self, base: int, eps: int) -> tuple[int, int]:
-        """Tuple fast path of :meth:`apply` for inner loops."""
-        n = self.modulus.n
-        return (self.a * base + self.s) % n, (self.a * eps + self.b * base + self.t) % n
 
     def compose(self, g: "DualAffineMap") -> "DualAffineMap":
         """Return the map ``z -> self(g(z))`` (g first, then self)."""
@@ -229,19 +168,3 @@ class DualAffineMap:
 
     def is_identity(self) -> bool:
         return (self.a, self.b, self.s, self.t) == (1, 0, 0, 0)
-
-    @classmethod
-    def identity(cls, modulus: Modulus = Modulus()) -> "DualAffineMap":
-        return cls(1, 0, 0, 0, modulus)
-
-
-def enumerate_dual_symmetries(modulus: Modulus = Modulus()) -> Iterator[DualAffineMap]:
-    """Yield every invertible dual affine self-map exactly once.
-
-    For n = 12 this is the full 6912-element symmetry group of Z_12[eps].
-    """
-    for a in modulus.units():
-        for b in modulus.residues():
-            for s in modulus.residues():
-                for t in modulus.residues():
-                    yield DualAffineMap(a, b, s, t, modulus)

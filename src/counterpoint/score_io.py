@@ -9,8 +9,7 @@ Input formats (bit-exact headers, UTF-8, LF):
 
 Events map to dual intervals x + ek (cantus pc x, interval k mod 12);
 consecutive intervals form steps, optionally deduplicated when a step
-repeats its immediate predecessor.  Step lists render one step per line in
-the grammar ``x+ek>y+el`` and re-parse exactly.
+repeats its immediate predecessor.
 
 The chain parses each distinct beat spelling once per call and builds each
 distinct interval once per call.  Scoring rejects a step whose source or
@@ -90,32 +89,6 @@ COLUMN_CANTUS = ColumnCantus()
 class TransitionSequence:
     steps: tuple  # ((DualNumber, DualNumber), ...)
     dedup_applied: bool
-
-    def render(self) -> str:
-        return "\n".join(
-            f"{a.render()}>{b.render()}" for a, b in self.steps
-        ) + ("\n" if self.steps else "")
-
-    @classmethod
-    def parse(cls, text: str, modulus: Modulus = Modulus()) -> "TransitionSequence":
-        steps = []
-        for number, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(">")
-            if len(parts) != 2:
-                raise ParseError(number, f"expected one step `x+ek>y+el`, got {raw!r}")
-            try:
-                steps.append(
-                    (
-                        DualNumber.parse(parts[0], modulus),
-                        DualNumber.parse(parts[1], modulus),
-                    )
-                )
-            except ValueError as exc:
-                raise ParseError(number, str(exc)) from exc
-        return cls(tuple(steps), dedup_applied=False)
 
 
 def _parse_int(field: str, value: str, line: int, low: int, high: int) -> int:

@@ -59,7 +59,6 @@ class PopulationSpec:
     probabilities sum to one.
     """
 
-    histogram: tuple  # ((category, frequency), ...) including zero entries
     mean: Fraction
     variance: Fraction
     sd: float
@@ -71,23 +70,15 @@ class PopulationSpec:
         total, mean, variance = _moments(histogram, "population histogram has no mass")
         support = tuple(sorted(c for c, f in histogram.items() if f > 0))
         probabilities = {c: Fraction(histogram[c], total) for c in support}
-        return cls(
-            tuple(sorted(histogram.items())),
-            mean,
-            variance,
-            math.sqrt(variance),
-            support,
-            probabilities,
-        )
+        return cls(mean, variance, math.sqrt(variance), support, probabilities)
 
 
 @dataclass(frozen=True)
 class SampleSummary:
     """Observed step counts summarized against a population support.
 
-    Values outside the support are tallied in ``overflow_values`` and do not
-    appear in ``observed``; ``has_overflow`` flags their presence.  The sd
-    divisor is n by default (``SdDivisor.N``).
+    Values outside the support are listed in ``overflow_values`` and do not
+    appear in ``observed``.  The sd divisor is n by default (``SdDivisor.N``).
     """
 
     n: int
@@ -96,14 +87,6 @@ class SampleSummary:
     mean: Fraction
     sd: float
     divisor: SdDivisor
-
-    @property
-    def overflow(self) -> int:
-        return len(self.overflow_values)
-
-    @property
-    def has_overflow(self) -> bool:
-        return bool(self.overflow_values)
 
     def observed_map(self) -> dict:
         return dict(self.observed)

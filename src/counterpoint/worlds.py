@@ -122,24 +122,6 @@ def local_polarity(d: Dichotomy, x: int) -> DualAffineMap:
     return DualAffineMap(p.v, 0, (1 - p.v) * x % n, p.u, d.modulus)
 
 
-def commutes_pointwise(g: DualAffineMap, pol: DualAffineMap) -> bool:
-    """Check g(pol(z)) == pol(g(z)) on all n^2 dual numbers (early exit)."""
-    n = g.modulus.n
-    for c in range(n):
-        for m in range(n):
-            zc, zm = pol.apply_pair(c, m)
-            left = g.apply_pair(zc, zm)
-            gc, gm = g.apply_pair(c, m)
-            if left != pol.apply_pair(gc, gm):
-                return False
-    return True
-
-
-def commutes_algebraic(g: DualAffineMap, pol: DualAffineMap) -> bool:
-    """Check commutation by composing the two maps symbolically."""
-    return g.compose(pol) == pol.compose(g)
-
-
 def _species(d: Dichotomy, k: int) -> frozenset:
     return d.half if d.modulus.reduce(k) in d.half else d.complement()
 

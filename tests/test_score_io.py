@@ -320,37 +320,6 @@ class TestExtractTransitions:
         assert len({id(end) for end in ends}) == len(set(ends))  # one object per interval
 
 
-class TestTransitionSequence:
-    @given(
-        values=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=11),
-                st.integers(min_value=0, max_value=11),
-                st.integers(min_value=0, max_value=11),
-                st.integers(min_value=0, max_value=11),
-            ),
-            max_size=10,
-        )
-    )
-    def test_render_parse_round_trip(self, values):
-        seq = TransitionSequence(
-            tuple(
-                (DualNumber(x, k), DualNumber(y, l)) for x, k, y, l in values
-            ),
-            dedup_applied=False,
-        )
-        assert TransitionSequence.parse(seq.render()) == seq
-
-    def test_parse_reports_bad_lines(self):
-        with pytest.raises(ParseError) as info:
-            TransitionSequence.parse("0+e3>2+e4\n0+e3>2+e4>1+e1\n")
-        assert info.value.line == 2
-
-    def test_parse_skips_blank_lines(self):
-        seq = TransitionSequence.parse("\n0+e3>2+e4\n\n")
-        assert len(seq.steps) == 1
-
-
 class TestScoreAgainstWorld:
     def test_worked_steps_through_full_pipeline(self, fux_world):
         events = parse_score(WORKED_SCORE, ScoreFormat.TWO_VOICE)

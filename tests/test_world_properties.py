@@ -24,6 +24,7 @@ from counterpoint import (
     strong_atlas,
 )
 from counterpoint.model_tables import mystic_class_count
+from oracles import image
 
 MODULI = (6, 8, 10, 12, 14)
 PROPERTY_SETTINGS = settings(max_examples=15, deadline=None)
@@ -99,6 +100,6 @@ def test_local_polarity_is_an_involution_swapping_species_at_every_cantus(n):
             pol = local_polarity(d, x)
             assert pol.compose(pol).is_identity()
             for m in range(n):
-                base, eps = pol.apply_pair(x, m)
+                base, eps = image(pol, x, m)
                 assert base == x
                 assert (eps in d.half) != (m in d.half)
