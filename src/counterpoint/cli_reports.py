@@ -23,7 +23,6 @@ scratch, so the calibration gate runs on every preset world a command uses.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -41,7 +40,7 @@ from .dichotomies import (
     chord_endomorphisms,
     parse_pitch_class_set,
 )
-from .residue_algebra import DualNumber, ModulusMismatch, NotInvertible
+from .residue_algebra import DualNumber, Modulus, ModulusMismatch, NotInvertible, _Value
 from .score_io import (
     COLUMN_CANTUS,
     Dedup,
@@ -98,8 +97,8 @@ def _jsonable(value):
         return {"fraction": f"{value.numerator}/{value.denominator}", "value": float(value)}
     if isinstance(value, Enum):
         return value.value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, _Value):
+        return {f: _jsonable(v) for f, v in zip(value.__slots__, value._key(value))}
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -231,6 +230,9 @@ def cmd_analyze(args) -> dict:
     else:
         if args.cantus_pc is None:
             raise ValueError("--cantus-pc is required with --cantus-policy fixed")
+        n = Modulus().n
+        if not 0 <= args.cantus_pc < n:
+            raise ValueError(f"--cantus-pc {args.cantus_pc} is not a pitch class in 0..{n - 1}")
         policy, policy_text = FixedCantus(args.cantus_pc), f"FIXED_CANTUS({args.cantus_pc})"
     dedup = Dedup[args.dedup]
     world = load_world(Dichotomy.parse(args.world))

@@ -10,11 +10,10 @@ unique *polarity*: an invertible affine map carrying K onto D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .residue_algebra import Modulus, ResidueAffineMap
+from .residue_algebra import Modulus, ResidueAffineMap, _fill, _Value
 
 
 class NotStrong(ValueError):
@@ -56,22 +55,19 @@ def parse_pitch_class_set(text: str, modulus: Modulus = Modulus()) -> frozenset:
     return frozenset(modulus.reduce(v) for v in values)
 
 
-@dataclass(frozen=True)
-class Dichotomy:
+class Dichotomy(_Value):
     """A marked half/half bipartition (K / D) of Z_n."""
 
-    half: frozenset
-    modulus: Modulus = Modulus()
+    __slots__ = ("half", "modulus")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "half", frozenset(self.modulus.reduce(x) for x in self.half)
-        )
-        if len(self.half) * 2 != self.modulus.n:
+    def __init__(self, half: frozenset, modulus: Modulus = Modulus()) -> None:
+        half = frozenset(modulus.reduce(x) for x in half)
+        if len(half) * 2 != modulus.n:
             raise ValueError(
-                f"marked half must contain exactly n/2 = {self.modulus.n // 2} "
-                f"residues, got {sorted(self.half)}"
+                f"marked half must contain exactly n/2 = {modulus.n // 2} "
+                f"residues, got {sorted(half)}"
             )
+        _fill(self, half, modulus)
 
     def complement(self) -> frozenset:
         return frozenset(self.modulus.residues()) - self.half
@@ -92,12 +88,13 @@ class Dichotomy:
         return cls(MYSTIC_HALF)
 
 
-@dataclass(frozen=True)
-class StrengthCertificate:
+class StrengthCertificate(_Value):
     """Brute-force evidence for (non-)strength of a dichotomy."""
 
-    stabilizer: tuple
-    swaps: tuple
+    __slots__ = ("stabilizer", "swaps")
+
+    def __init__(self, stabilizer: tuple, swaps: tuple) -> None:
+        _fill(self, stabilizer, swaps)
 
     @property
     def is_strong(self) -> bool:
@@ -134,13 +131,13 @@ def strength(d: Dichotomy) -> StrengthCertificate:
     return StrengthCertificate(tuple(sorted(stabilizer)), tuple(sorted(swaps)))
 
 
-@dataclass(frozen=True)
-class DichotomyClass:
+class DichotomyClass(_Value):
     """Affine equivalence class of a half-set."""
 
-    canonical_representative: tuple
-    orbit_size: int
-    alias: Optional[str] = None
+    __slots__ = ("canonical_representative", "orbit_size", "alias")
+
+    def __init__(self, canonical_representative, orbit_size, alias=None) -> None:
+        _fill(self, canonical_representative, orbit_size, alias)
 
 
 def _orbit(half: frozenset, modulus: Modulus) -> set:
@@ -151,14 +148,16 @@ def _canonical(half: frozenset, modulus: Modulus) -> tuple:
     return min(tuple(sorted(image)) for image in _orbit(half, modulus))
 
 
-_MYSTIC_CANONICAL = _canonical(MYSTIC_HALF, Modulus())
+# _canonical(MYSTIC_HALF, Modulus()), kept as a literal; a test recomputes it.
+_MYSTIC_CANONICAL = (0, 1, 2, 4, 6, 10)
 
 # Class aliases for n = 12: the mystic chord's class (number 78 in the
-# standard catalogue of twelve-tone set classes) and the Fuxian consonances.
+# standard catalogue of twelve-tone set classes) and the Fuxian consonances,
+# whose canonical representative is _canonical(FUX_HALF, Modulus()).
 # Other strong classes are reported by canonical representative only.
 _CLASS_ALIASES = {
     _MYSTIC_CANONICAL: "78 (mystic)",
-    _canonical(FUX_HALF, Modulus()): "Fux",
+    (0, 1, 2, 5, 6, 9): "Fux",
 }
 
 
@@ -211,14 +210,13 @@ def all_class_orbit_sizes(modulus: Modulus = Modulus()) -> dict:
     return {c: len(orbit) for c, orbit in _half_set_orbits(modulus).items()}
 
 
-@dataclass(frozen=True)
-class ChordEndomorphismReport:
+class ChordEndomorphismReport(_Value):
     """All affine self-maps (invertible or not) sending a chord into itself."""
 
-    chord: tuple
-    endomorphisms: tuple
-    linear_parts: tuple
-    strong_verdict: bool
+    __slots__ = ("chord", "endomorphisms", "linear_parts", "strong_verdict")
+
+    def __init__(self, chord, endomorphisms, linear_parts, strong_verdict) -> None:
+        _fill(self, chord, endomorphisms, linear_parts, strong_verdict)
 
 
 def chord_endomorphisms(
@@ -249,18 +247,18 @@ def chord_endomorphisms(
     )
 
 
-@dataclass(frozen=True)
-class TriadCoverReport:
-    """Translates of the four classical triads contained in a chord."""
+class TriadCoverReport(_Value):
+    """Translates of the four classical triads contained in a chord.
 
-    chord: tuple
-    augmented: tuple
-    diminished: tuple
-    major: tuple
-    minor: tuple
-    minor_major_near_covers: tuple
-    #: triples (minor translate, major translate, leftover tones) where the
-    #: union of the two triads covers the chord except for one tone
+    ``minor_major_near_covers`` holds triples (minor translate, major
+    translate, leftover tones) where the union of the two triads covers the
+    chord except for one tone.
+    """
+
+    __slots__ = ("chord", "augmented", "diminished", "major", "minor", "minor_major_near_covers")
+
+    def __init__(self, chord, augmented, diminished, major, minor, minor_major_near_covers) -> None:
+        _fill(self, chord, augmented, diminished, major, minor, minor_major_near_covers)
 
 
 def _contained_translates(shape: tuple, chord: frozenset, modulus: Modulus) -> tuple:

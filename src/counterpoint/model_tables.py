@@ -47,7 +47,9 @@ _TABLE_DIGITS = (
     "202020202002202020202002202020202002202020201001101010101001101010101001"
 )
 
-MYSTIC_STEP_TABLE = tuple(int(ch) for ch in _TABLE_DIGITS)
+# Decoded bytewise: the translation maps each ASCII digit to its value.
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+MYSTIC_STEP_TABLE = tuple(_TABLE_DIGITS.encode().translate(_DIGIT_VALUES))
 assert len(MYSTIC_STEP_TABLE) == 1728
 
 

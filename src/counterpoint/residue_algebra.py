@@ -14,10 +14,63 @@ Conventions
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterator
+
+_set = object.__setattr__
+
+
+def _fill(value, *fields) -> None:
+    """Set a value's fields, in ``__slots__`` order."""
+    for name, field in zip(value.__slots__, fields):
+        _set(value, name, field)
+
+
+def _by_key(op):
+    def method(self, other):
+        if other.__class__ is self.__class__:
+            return op(self._key(self), other._key(other))
+        return NotImplemented
+
+    return method
+
+
+class _Value:
+    """A frozen value whose fields are its ``__slots__``, in order.
+
+    Equality, hash and repr read the tuple of the fields, got by one key
+    function per class; ``order=True`` adds the order of that tuple.  Each
+    ``__init__`` sets the fields through ``_set`` or ``_fill``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, order: bool = False) -> None:
+        get = operator.attrgetter(*cls.__slots__) if cls.__slots__ else lambda self: ()
+        cls._key = staticmethod(get if len(cls.__slots__) != 1 else lambda self: (get(self),))
+        if order:
+            ops = (operator.lt, operator.le, operator.gt, operator.ge)
+            cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = map(_by_key, ops)
+
+    __eq__ = _by_key(operator.eq)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._key(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key(self)
 
 
 class NotInvertible(ValueError):
@@ -28,15 +81,15 @@ class ModulusMismatch(ValueError):
     """Two algebraic objects with different moduli were combined."""
 
 
-@dataclass(frozen=True, order=True)
-class Modulus:
+class Modulus(_Value, order=True):
     """The ambient even modulus n (pitch classes per octave)."""
 
-    n: int = 12
+    __slots__ = ("n",)
 
-    def __post_init__(self) -> None:
-        if self.n < 4 or self.n % 2 != 0:
-            raise ValueError(f"modulus must be an even integer >= 4, got {self.n}")
+    def __init__(self, n: int = 12) -> None:
+        if n < 4 or n % 2 != 0:
+            raise ValueError(f"modulus must be an even integer >= 4, got {n}")
+        _set(self, "n", n)
 
     def residues(self) -> range:
         return range(self.n)
@@ -56,17 +109,15 @@ def _require_same_modulus(a: "Modulus", b: "Modulus") -> None:
 _DUAL_RE = re.compile(r"^(\d+)\+e(\d+)$")
 
 
-@dataclass(frozen=True, order=True)
-class ResidueAffineMap:
+class ResidueAffineMap(_Value, order=True):
     """The affine self-map ``x -> v*x + u`` of Z_n, written ``e^u.v``."""
 
-    u: int
-    v: int
-    modulus: Modulus = Modulus()
+    __slots__ = ("u", "v", "modulus")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "u", self.u % self.modulus.n)
-        object.__setattr__(self, "v", self.v % self.modulus.n)
+    def __init__(self, u: int, v: int, modulus: Modulus = Modulus()) -> None:
+        _set(self, "u", u % modulus.n)
+        _set(self, "v", v % modulus.n)
+        _set(self, "modulus", modulus)
 
     def apply(self, x: int) -> int:
         return (self.v * x + self.u) % self.modulus.n
@@ -99,47 +150,47 @@ class ResidueAffineMap:
                 yield cls(u, v, modulus)
 
 
-@dataclass(frozen=True, order=True)
-class DualNumber:
+class DualNumber(_Value, order=True):
     """An element ``a + eps*b`` of Z_n[eps] with eps**2 = 0."""
 
-    a: int
-    b: int
-    modulus: Modulus = Modulus()
+    __slots__ = ("a", "b", "modulus")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", self.a % self.modulus.n)
-        object.__setattr__(self, "b", self.b % self.modulus.n)
+    def __init__(self, a: int, b: int, modulus: Modulus = Modulus()) -> None:
+        _set(self, "a", a % modulus.n)
+        _set(self, "b", b % modulus.n)
+        _set(self, "modulus", modulus)
 
     def render(self) -> str:
         return f"{self.a}+e{self.b}"
 
     @classmethod
     def parse(cls, text: str, modulus: Modulus = Modulus()) -> "DualNumber":
+        """Parse ``x+ek``; both components must already lie in 0..n-1."""
         m = _DUAL_RE.match(text)
         if not m:
             raise ValueError(f"malformed dual number {text!r}; expected x+ek")
-        return cls(int(m.group(1)), int(m.group(2)), modulus)
+        a, b = int(m.group(1)), int(m.group(2))
+        if a >= modulus.n or b >= modulus.n:
+            raise ValueError(f"dual number {text!r} has a component outside 0..{modulus.n - 1}")
+        return cls(a, b, modulus)
 
 
-@dataclass(frozen=True, order=True)
-class DualAffineMap:
+class DualAffineMap(_Value, order=True):
     """The affine self-map ``z -> (a + eps*b) * z + (s + eps*t)`` of Z_n[eps].
 
     Stored componentwise as ``(a, b, s, t)``.  Invertible iff gcd(a, n) = 1;
     for n = 12 the invertible maps form a group of 48 * 144 = 6912 elements.
     """
 
-    a: int
-    b: int
-    s: int
-    t: int
-    modulus: Modulus = Modulus()
+    __slots__ = ("a", "b", "s", "t", "modulus")
 
-    def __post_init__(self) -> None:
-        n = self.modulus.n
-        for field in ("a", "b", "s", "t"):
-            object.__setattr__(self, field, getattr(self, field) % n)
+    def __init__(self, a: int, b: int, s: int, t: int, modulus: Modulus = Modulus()) -> None:
+        n = modulus.n
+        _set(self, "a", a % n)
+        _set(self, "b", b % n)
+        _set(self, "s", s % n)
+        _set(self, "t", t % n)
+        _set(self, "modulus", modulus)
 
     @property
     def is_invertible(self) -> bool:

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .residue_algebra import DualNumber, Modulus, ModulusMismatch
+from .residue_algebra import DualNumber, Modulus, ModulusMismatch, _fill, _set, _Value
 
 
 class ParseError(ValueError):
@@ -60,35 +59,43 @@ _HEADERS = {
 }
 
 
-@dataclass(frozen=True)
-class ScoreEvent:
+class ScoreEvent(_Value):
     """One first-species event: an upper-voice pitch over an optional cantus."""
 
-    measure: int
-    beat: Fraction
-    cantus_pitch: Optional[int]
-    pitch: int
+    __slots__ = ("measure", "beat", "cantus_pitch", "pitch")
+
+    def __init__(
+        self, measure: int, beat: Fraction, cantus_pitch: Optional[int], pitch: int
+    ) -> None:
+        _set(self, "measure", measure)
+        _set(self, "beat", beat)
+        _set(self, "cantus_pitch", cantus_pitch)
+        _set(self, "pitch", pitch)
 
 
-@dataclass(frozen=True)
-class FixedCantus:
+class FixedCantus(_Value):
     """Interpret every event against a fixed cantus pitch class."""
 
-    pc: int
+    __slots__ = ("pc",)
+
+    def __init__(self, pc: int) -> None:
+        _set(self, "pc", pc)
 
 
-@dataclass(frozen=True)
-class ColumnCantus:
+class ColumnCantus(_Value):
     """Read the cantus for each event from its own cantus column."""
+
+    __slots__ = ()
 
 
 COLUMN_CANTUS = ColumnCantus()
 
 
-@dataclass(frozen=True)
-class TransitionSequence:
-    steps: tuple  # ((DualNumber, DualNumber), ...)
-    dedup_applied: bool
+class TransitionSequence(_Value):
+    __slots__ = ("steps", "dedup_applied")  # steps: ((DualNumber, DualNumber), ...)
+
+    def __init__(self, steps: tuple, dedup_applied: bool) -> None:
+        _fill(self, steps, dedup_applied)
 
 
 def _parse_int(field: str, value: str, line: int, low: int, high: int) -> int:

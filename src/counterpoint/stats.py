@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
+
+from .residue_algebra import _fill, _Value
 
 
 class DegeneratePopulation(ValueError):
@@ -51,19 +52,17 @@ def _moments(tally: Mapping[int, int], empty: str) -> Tuple[int, Fraction, Fract
     return size, mean, second - mean * mean
 
 
-@dataclass(frozen=True)
-class PopulationSpec:
+class PopulationSpec(_Value):
     """Category distribution of a step-count population.
 
     ``support`` lists the categories with nonzero frequency; their exact
     probabilities sum to one.
     """
 
-    mean: Fraction
-    variance: Fraction
-    sd: float
-    support: tuple
-    probabilities: dict
+    __slots__ = ("mean", "variance", "sd", "support", "probabilities")
+
+    def __init__(self, mean, variance, sd, support, probabilities) -> None:
+        _fill(self, mean, variance, sd, support, probabilities)
 
     @classmethod
     def from_histogram(cls, histogram: Dict[int, int]) -> "PopulationSpec":
@@ -73,20 +72,18 @@ class PopulationSpec:
         return cls(mean, variance, math.sqrt(variance), support, probabilities)
 
 
-@dataclass(frozen=True)
-class SampleSummary:
+class SampleSummary(_Value):
     """Observed step counts summarized against a population support.
 
-    Values outside the support are listed in ``overflow_values`` and do not
-    appear in ``observed``.  The sd divisor is n by default (``SdDivisor.N``).
+    ``observed`` holds ((category, count), ...) over the support.  Values
+    outside the support are listed in ``overflow_values`` and do not appear
+    in ``observed``.  The sd divisor is n by default (``SdDivisor.N``).
     """
 
-    n: int
-    observed: tuple  # ((category, count), ...) over the support
-    overflow_values: tuple
-    mean: Fraction
-    sd: float
-    divisor: SdDivisor
+    __slots__ = ("n", "observed", "overflow_values", "mean", "sd", "divisor")
+
+    def __init__(self, n, observed, overflow_values, mean, sd, divisor) -> None:
+        _fill(self, n, observed, overflow_values, mean, sd, divisor)
 
     def observed_map(self) -> dict:
         return dict(self.observed)
@@ -160,13 +157,11 @@ def normal_quantile(p: float) -> float:
     return x - u / (1 + x * u / 2)
 
 
-@dataclass(frozen=True)
-class EffectSizeResult:
-    d: float
-    ci_low: float
-    ci_high: float
-    alpha: float
-    z: float
+class EffectSizeResult(_Value):
+    __slots__ = ("d", "ci_low", "ci_high", "alpha", "z")
+
+    def __init__(self, d: float, ci_low: float, ci_high: float, alpha: float, z: float) -> None:
+        _fill(self, d, ci_low, ci_high, alpha, z)
 
     @property
     def half_width(self) -> float:
@@ -187,15 +182,11 @@ def effect_size(
     return EffectSizeResult(d, d - half, d + half, alpha, z)
 
 
-@dataclass(frozen=True)
-class ChiSquareResult:
-    statistic: float
-    df: int
-    p_value: float
-    yates: bool
-    categories: tuple
-    observed: tuple
-    expected: tuple
+class ChiSquareResult(_Value):
+    __slots__ = ("statistic", "df", "p_value", "yates", "categories", "observed", "expected")
+
+    def __init__(self, statistic, df, p_value, yates, categories, observed, expected) -> None:
+        _fill(self, statistic, df, p_value, yates, categories, observed, expected)
 
 
 def _pool(group: tuple, cell: tuple) -> tuple:

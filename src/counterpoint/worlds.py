@@ -83,6 +83,8 @@ from .residue_algebra import (
     DualNumber,
     Modulus,
     ModulusMismatch,
+    _fill,
+    _Value,
 )
 from .stats import PopulationSpec
 
@@ -417,12 +419,11 @@ def build_world(d: Dichotomy) -> World:
     return World(d, label, variant, counts, histogram)
 
 
-@dataclass(frozen=True)
-class WorldMoments:
-    mean: Fraction
-    variance: Fraction
-    sd: float
-    note: Optional[str]
+class WorldMoments(_Value):
+    __slots__ = ("mean", "variance", "sd", "note")
+
+    def __init__(self, mean: Fraction, variance: Fraction, sd: float, note: Optional[str]) -> None:
+        _fill(self, mean, variance, sd, note)
 
 
 def world_moments(w: World) -> WorldMoments:
@@ -432,11 +433,11 @@ def world_moments(w: World) -> WorldMoments:
     return WorldMoments(pop.mean, pop.variance, pop.sd, note)
 
 
-@dataclass(frozen=True)
-class WorldOverlap:
-    p_a: Fraction
-    p_b: Fraction
-    p_ab: Fraction
+class WorldOverlap(_Value):
+    __slots__ = ("p_a", "p_b", "p_ab")
+
+    def __init__(self, p_a: Fraction, p_b: Fraction, p_ab: Fraction) -> None:
+        _fill(self, p_a, p_b, p_ab)
 
     @property
     def gap(self) -> Fraction:
@@ -460,19 +461,21 @@ def world_overlap(a: World, b: World) -> WorldOverlap:
     )
 
 
-@dataclass(frozen=True)
-class ScaleRestrictionReport:
+class ScaleRestrictionReport(_Value):
     """Marked-to-marked steps inside a scale, and which of them are forbidden.
 
     Forbidden items are reported at two granularities: individual steps
     (x+ek -> y+el) and translation classes (k, d, l) with d = (y-x) mod n.
     """
 
-    scale: tuple
-    mode: RestrictionMode
-    restricted_step_count: int
-    forbidden_steps: tuple
-    forbidden_classes: tuple
+    __slots__ = (
+        "scale", "mode", "restricted_step_count", "forbidden_steps", "forbidden_classes"
+    )
+
+    def __init__(
+        self, scale, mode, restricted_step_count, forbidden_steps, forbidden_classes
+    ) -> None:
+        _fill(self, scale, mode, restricted_step_count, forbidden_steps, forbidden_classes)
 
     @property
     def forbidden_step_count(self) -> int:
@@ -525,11 +528,11 @@ def scale_restriction_report(
     )
 
 
-@dataclass(frozen=True)
-class WalkResult:
-    path: tuple
-    completed: bool
-    dead_end_at: Optional[int]
+class WalkResult(_Value):
+    __slots__ = ("path", "completed", "dead_end_at")
+
+    def __init__(self, path: tuple, completed: bool, dead_end_at: Optional[int]) -> None:
+        _fill(self, path, completed, dead_end_at)
 
     @property
     def steps_taken(self) -> int:

@@ -159,6 +159,13 @@ class TestStep:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("src, dst", [("12+e15", "2+e4"), ("0+e3", "2+e12")])
+    def test_interval_outside_the_residues_is_input_error(self, capsys, src, dst):
+        code, out, err = run(capsys, "step", "--dichotomy", "fux", "--from", src, "--to", dst)
+        assert code == 2
+        assert out == ""
+        assert "outside 0..11" in err
+
 
 class TestCompare:
     def test_text_output(self, capsys):
@@ -239,6 +246,17 @@ class TestAnalyze:
         payload = json.loads(out)
         assert payload["policy"] == "FIXED_CANTUS(0)"
         assert payload["transition_count"] == 4
+
+    @pytest.mark.parametrize("pc", ["12", "99", "-1"])
+    def test_fixed_pitch_class_outside_the_residues_is_input_error(self, capsys, score_file, pc):
+        code, out, err = run(
+            capsys,
+            "analyze", "--file", str(score_file), "--format", "TWO_VOICE",
+            "--world", "fux", "--cantus-policy", "fixed", "--cantus-pc", pc,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--cantus-pc {pc} is not a pitch class in 0..11" in err
 
     @pytest.mark.parametrize("alpha", ["0", "1.5"])
     def test_alpha_outside_unit_interval_is_input_error(self, capsys, score_file, alpha):
@@ -383,6 +401,12 @@ class TestWalk:
         )
         assert code == 3
         assert "no valid successor" in err
+
+    def test_start_outside_the_residues_is_input_error(self, capsys):
+        code, out, err = run(capsys, "walk", "--dichotomy", "fux", "--start", "13+e0")
+        assert code == 2
+        assert out == ""
+        assert "outside 0..11" in err
 
     def test_negative_length_is_input_error(self, capsys):
         code, out, err = run(

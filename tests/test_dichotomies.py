@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from counterpoint import dichotomies
 from counterpoint import (
     EVEN_WHOLE_TONE,
     FUX_HALF,
@@ -113,6 +114,14 @@ class TestAtlas:
         assert classify(Dichotomy.fux()).alias == "Fux"
         assert classify(Dichotomy.fux()).orbit_size == 48
         assert classify(Dichotomy.mystic()).orbit_size == 48
+
+    def test_alias_literals_are_the_preset_orbit_minima(self):
+        def orbit_minimum(half):
+            return min(tuple(sorted(m.apply_set(half))) for m in ResidueAffineMap.invertible_maps())
+
+        mystic, fux = orbit_minimum(MYSTIC_HALF), orbit_minimum(FUX_HALF)
+        assert dichotomies._MYSTIC_CANONICAL == mystic
+        assert dichotomies._CLASS_ALIASES == {mystic: "78 (mystic)", fux: "Fux"}
 
     def test_presets_lie_in_distinct_classes(self):
         assert (

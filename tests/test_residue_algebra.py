@@ -95,6 +95,16 @@ class TestDualNumber:
         with pytest.raises(ValueError):
             DualNumber.parse(bad)
 
+    @pytest.mark.parametrize("text, n", [("12+e15", 12), ("13+e0", 12), ("0+e12", 12), ("9+e2", 8)])
+    def test_parse_rejects_components_outside_the_residues(self, text, n):
+        with pytest.raises(ValueError, match="outside 0..") as info:
+            DualNumber.parse(text, Modulus(n))
+        assert "malformed" not in str(info.value)
+
+    @given(a=st.integers(min_value=-50, max_value=50), b=st.integers(min_value=-50, max_value=50))
+    def test_constructor_still_reduces(self, a, b):
+        assert DualNumber(a, b) == DualNumber(a % 12, b % 12)
+
 
 DUAL_MAPS = st.builds(DualAffineMap, a=RESIDUES, b=RESIDUES, s=RESIDUES, t=RESIDUES)
 INVERTIBLE_MAPS = st.builds(DualAffineMap, a=UNITS, b=RESIDUES, s=RESIDUES, t=RESIDUES)

@@ -29,6 +29,7 @@ from counterpoint import (
     world_moments,
     world_overlap,
 )
+from counterpoint import model_tables
 from oracles import commutes_algebraic, commutes_pointwise, enumerate_dual_symmetries, image
 
 FUX_HISTOGRAM = {0: 6720, 1: 4992, 2: 5568, 3: 1440, 4: 1152, 5: 864}
@@ -171,6 +172,11 @@ class TestWorldConstruction:
         assert sum(mystic_world.histogram.values()) == 20736
         assert mystic_world.valid_step_count == 4608
         assert mystic_world.label == "mystic"
+
+    def test_mystic_step_table_decodes_its_digits(self):
+        table = model_tables.MYSTIC_STEP_TABLE
+        assert type(table) is tuple and all(type(c) is int for c in table)
+        assert table == tuple(int(ch) for ch in model_tables._TABLE_DIGITS)
 
     def test_mystic_histogram_pads_empty_bins(self, mystic_world):
         assert mystic_world.histogram[3] == 0
