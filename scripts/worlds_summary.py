@@ -38,7 +38,7 @@ def main() -> int:
     for src, dst in (((0, 3), (2, 4)), ((0, 7), (2, 7))):
         a, b = DualNumber(*src), DualNumber(*dst)
         print(f"fux step {a.render()} -> {b.render()}: {fux.count(a, b)}")
-    print(f"fux max step count: {max(max(row) for row in fux.counts)}")
+    print(f"fux max step count: {max(c for c, f in fux.histogram.items() if f)}")
 
     overlap = world_overlap(fux, mystic)
     print(

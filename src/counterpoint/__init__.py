@@ -58,6 +58,7 @@ from .worlds import (
     counterpoint_symmetries,
     local_polarity,
     scale_restriction_report,
+    score_against_world,
     step_count,
     walk,
     world_histogram_csv,
@@ -93,7 +94,6 @@ from .score_io import (
     TransitionSequence,
     extract_transitions,
     parse_score,
-    score_against_world,
 )
 
 # The public names above, without the submodules their imports bind.

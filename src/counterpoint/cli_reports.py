@@ -48,7 +48,6 @@ from .score_io import (
     ScoreFormat,
     extract_transitions,
     parse_score,
-    score_against_world,
 )
 from .stats import (
     DegeneratePopulation,
@@ -67,6 +66,7 @@ from .worlds import (
     World,
     build_world,
     scale_restriction_report,
+    score_against_world,
     walk,
     world_histogram_csv,
     world_matrix_csv,
@@ -162,7 +162,7 @@ def cmd_worlds_table(args) -> dict:
             "world": world.label,
             "dichotomy": world.dichotomy.render(),
             "model_variant": world.variant,
-            "histogram": {str(k): v for k, v in sorted(world.histogram.items())},
+            "histogram": world.histogram,
             "moments": {"mean": moments.mean, "variance": moments.variance, "sd": moments.sd},
             "note": moments.note,
         },
@@ -230,10 +230,11 @@ def cmd_analyze(args) -> dict:
     else:
         if args.cantus_pc is None:
             raise ValueError("--cantus-pc is required with --cantus-policy fixed")
-        n = Modulus().n
-        if not 0 <= args.cantus_pc < n:
-            raise ValueError(f"--cantus-pc {args.cantus_pc} is not a pitch class in 0..{n - 1}")
-        policy, policy_text = FixedCantus(args.cantus_pc), f"FIXED_CANTUS({args.cantus_pc})"
+        try:
+            pc = Modulus().parse_residue(args.cantus_pc)
+        except ValueError:
+            raise ValueError(f"--cantus-pc {args.cantus_pc} is not a pitch class in 0..11") from None
+        policy, policy_text = FixedCantus(pc), f"FIXED_CANTUS({pc})"
     dedup = Dedup[args.dedup]
     world = load_world(Dichotomy.parse(args.world))
     seq = extract_transitions(events, policy, dedup)
@@ -269,12 +270,12 @@ def cmd_analyze(args) -> dict:
             "policy": policy_text,
             "dedup": seq.dedup_applied,
             "transition_count": len(counts),
-            "per_step_counts": list(counts),
+            "per_step_counts": counts,
             "steps": [f"{a.render()}>{b.render()}" for a, b in seq.steps],
             "sample": {
                 "n": sample.n,
-                "observed": {str(k): v for k, v in sample.observed},
-                "overflow_values": list(sample.overflow_values),
+                "observed": dict(sample.observed),
+                "overflow_values": sample.overflow_values,
                 "mean": sample.mean,
                 "sd": sample.sd,
                 "sd_divisor": sample.divisor,
@@ -307,9 +308,9 @@ def cmd_noll(args) -> dict:
                 "scan": "wt-triads",
                 "reports": [
                     {
-                        "chord": list(r.chord),
+                        "chord": r.chord,
                         "endomorphism_count": len(r.endomorphisms),
-                        "linear_parts": list(r.linear_parts),
+                        "linear_parts": r.linear_parts,
                         "strong_verdict": r.strong_verdict,
                     }
                     for r in reports
@@ -330,10 +331,10 @@ def cmd_noll(args) -> dict:
         ],
         "JSON": {
             "command": "noll",
-            "chord": list(report.chord),
+            "chord": report.chord,
             "endomorphisms": endomorphisms,
             "endomorphism_count": len(endomorphisms),
-            "linear_parts": list(report.linear_parts),
+            "linear_parts": report.linear_parts,
             "strong_verdict": report.strong_verdict,
         },
     }
@@ -356,12 +357,12 @@ def cmd_scale_report(args) -> dict:
             "command": "scale-report",
             "world": world.label,
             "model_variant": world.variant,
-            "scale": list(report.scale),
+            "scale": report.scale,
             "mode": report.mode,
             "restricted_step_count": report.restricted_step_count,
             "forbidden_step_count": report.forbidden_step_count,
             "forbidden_class_count": report.forbidden_class_count,
-            "forbidden_classes": [list(c) for c in report.forbidden_classes],
+            "forbidden_classes": report.forbidden_classes,
             "forbidden_steps": [f"{a.render()}>{b.render()}" for a, b in report.forbidden_steps],
         },
     }
@@ -429,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--format", choices=[f.value for f in ScoreFormat], required=True)
     analyze.add_argument("--world", required=True)
     analyze.add_argument("--cantus-policy", choices=["column", "fixed"], default="column")
-    analyze.add_argument("--cantus-pc", type=int)
+    analyze.add_argument("--cantus-pc")
     analyze.add_argument("--dedup", choices=[d.value for d in Dedup], default="CONSECUTIVE")
     analyze.add_argument("--alpha", type=float, default=0.10)
     analyze.add_argument("--no-yates", action="store_true")

@@ -40,19 +40,18 @@ MINOR = (0, 3, 7)
 def parse_pitch_class_set(text: str, modulus: Modulus = Modulus()) -> frozenset:
     """Parse a comma-separated residue list such as ``0,2,4,6,8,11``.
 
-    Preset names ``fux`` and ``mystic`` are reserved and resolve to the
-    corresponding half-sets.  The empty string parses to the empty set.
+    Items are residues in 0..n-1, spaces around them allowed.  Preset names
+    ``fux`` and ``mystic`` resolve to their half-sets; "" parses to the empty set.
     """
     name = text.strip().lower()
     if name in PRESETS:
         return PRESETS[name]
-    if not text.strip():
+    if not name:
         return frozenset()
     try:
-        values = [int(part) for part in text.split(",")]
+        return frozenset(modulus.parse_residue(part.strip()) for part in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"malformed pitch-class set {text!r}") from exc
-    return frozenset(modulus.reduce(v) for v in values)
+        raise ValueError(f"malformed pitch-class set {text!r}: {exc}") from None
 
 
 class Dichotomy(_Value):
@@ -144,16 +143,12 @@ def _orbit(half: frozenset, modulus: Modulus) -> set:
     return {m.apply_set(half) for m in ResidueAffineMap.invertible_maps(modulus)}
 
 
-def _canonical(half: frozenset, modulus: Modulus) -> tuple:
-    return min(tuple(sorted(image)) for image in _orbit(half, modulus))
-
-
-# _canonical(MYSTIC_HALF, Modulus()), kept as a literal; a test recomputes it.
+# The mystic class's canonical representative, kept as a literal; a test recomputes it.
 _MYSTIC_CANONICAL = (0, 1, 2, 4, 6, 10)
 
 # Class aliases for n = 12: the mystic chord's class (number 78 in the
 # standard catalogue of twelve-tone set classes) and the Fuxian consonances,
-# whose canonical representative is _canonical(FUX_HALF, Modulus()).
+# whose canonical representative is that of classify(Dichotomy.fux()).
 # Other strong classes are reported by canonical representative only.
 _CLASS_ALIASES = {
     _MYSTIC_CANONICAL: "78 (mystic)",
@@ -307,7 +302,7 @@ def mystic_parity(chord: Iterable, modulus: Modulus = Modulus()) -> str:
     chord_set = frozenset(modulus.reduce(c) for c in chord)
     if len(chord_set) != 6:
         return "NotMysticForm"
-    if _canonical(chord_set, modulus) != _MYSTIC_CANONICAL:
+    if classify(Dichotomy(chord_set, modulus)).canonical_representative != _MYSTIC_CANONICAL:
         return "NotMysticForm"
     even, odd = whole_tone_affinity(chord_set, modulus)
     if even == 5:

@@ -15,7 +15,6 @@ Conventions
 from __future__ import annotations
 
 import operator
-import re
 from math import gcd
 from typing import Iterator
 
@@ -100,13 +99,18 @@ class Modulus(_Value, order=True):
     def reduce(self, x: int) -> int:
         return x % self.n
 
+    def parse_residue(self, text: str) -> int:
+        """Read ASCII decimal digits naming a value in 0..n-1; else ValueError."""
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(f"malformed residue {text!r}")
+        if int(text) >= self.n:
+            raise ValueError(f"residue {text} outside 0..{self.n - 1}")
+        return int(text)
+
 
 def _require_same_modulus(a: "Modulus", b: "Modulus") -> None:
     if a != b:
         raise ModulusMismatch(f"mixed moduli {a.n} and {b.n}")
-
-
-_DUAL_RE = re.compile(r"^(\d+)\+e(\d+)$")
 
 
 class ResidueAffineMap(_Value, order=True):
@@ -165,14 +169,11 @@ class DualNumber(_Value, order=True):
 
     @classmethod
     def parse(cls, text: str, modulus: Modulus = Modulus()) -> "DualNumber":
-        """Parse ``x+ek``; both components must already lie in 0..n-1."""
-        m = _DUAL_RE.match(text)
-        if not m:
+        """Parse ``x+ek``; both components are residues in 0..n-1."""
+        x, plus_e, k = text.partition("+e")
+        if not plus_e:
             raise ValueError(f"malformed dual number {text!r}; expected x+ek")
-        a, b = int(m.group(1)), int(m.group(2))
-        if a >= modulus.n or b >= modulus.n:
-            raise ValueError(f"dual number {text!r} has a component outside 0..{modulus.n - 1}")
-        return cls(a, b, modulus)
+        return cls(modulus.parse_residue(x), modulus.parse_residue(k), modulus)
 
 
 class DualAffineMap(_Value, order=True):

@@ -1,6 +1,6 @@
 """Score ingestion: two-voice CSV passages to contrapuntal step sequences.
 
-Input formats (bit-exact headers, UTF-8, LF):
+Input formats (bit-exact headers, ASCII without ``+`` or ``_``, LF):
 
   * TWO_VOICE: ``measure,beat,cantus,discant`` — one event per row with both
     voices as MIDI pitches;
@@ -12,8 +12,7 @@ consecutive intervals form steps, optionally deduplicated when a step
 repeats its immediate predecessor.
 
 The chain parses each distinct beat spelling once per call and builds each
-distinct interval once per call.  Scoring rejects a step whose source or
-target modulus differs from the world's.
+distinct interval once per call.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .residue_algebra import DualNumber, Modulus, ModulusMismatch, _fill, _set, _Value
+from .residue_algebra import DualNumber, Modulus, _fill, _set, _Value
 
 
 class ParseError(ValueError):
@@ -98,6 +97,11 @@ class TransitionSequence(_Value):
         _fill(self, steps, dedup_applied)
 
 
+def _plain(text: str) -> bool:
+    """No spelling that only int() or Fraction() reads: non-ASCII, ``+`` or ``_``."""
+    return text.isascii() and "_" not in text and "+" not in text
+
+
 def _parse_int(field: str, value: str, line: int, low: int, high: int) -> int:
     try:
         number = int(value)
@@ -123,6 +127,7 @@ def parse_score(text: str, fmt: ScoreFormat) -> List[ScoreEvent]:
     if rows[0] != header:
         raise ParseError(1, f"header must be {','.join(header)!r}, got {','.join(rows[0])!r}")
     two_voice = fmt is ScoreFormat.TWO_VOICE
+    plain = _plain(text)
     beats = {}  # spelling -> (Fraction, ordering key)
     events: List[ScoreEvent] = []
     previous = None
@@ -131,6 +136,8 @@ def parse_score(text: str, fmt: ScoreFormat) -> List[ScoreEvent]:
             continue
         if len(row) != len(header):
             raise ParseError(index, f"expected {len(header)} fields, got {len(row)}")
+        if not (plain or _plain("".join(row))):
+            raise ParseError(index, f"non-ASCII, '+' or '_' in {','.join(row)!r}")
         measure = _parse_int("measure", row[0], index, -(10 ** 9), 10 ** 9)
         parsed = beats.get(row[1])
         if parsed is None:
@@ -194,15 +201,3 @@ def extract_transitions(
     steps = tuple((built[x], built[y]) for x, y in pairs)
     return TransitionSequence(steps, dedup_applied=dedup is Dedup.CONSECUTIVE)
 
-
-def score_against_world(seq: TransitionSequence, world) -> List[int]:
-    """Per-step symmetry counts, in order, read from the world matrix.
-
-    Both ends of every step must carry the world's modulus; each distinct
-    modulus in the sequence is checked once.
-    """
-    n = world.modulus.n
-    if {end.modulus.n for step in seq.steps for end in step} - {n}:
-        raise ModulusMismatch("step and world moduli differ")
-    rows = world.counts
-    return [rows[n * a.a + a.b][n * b.a + b.b] for a, b in seq.steps]

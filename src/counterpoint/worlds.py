@@ -4,6 +4,8 @@ A *world* for a strong dichotomy assigns to every step xi -> eta between
 contrapuntal intervals the number of symmetries mediating it, yielding a
 144 x 144 count matrix (at n = 12), its step-count histogram, exact moment
 and overlap statistics, scale restrictions, and seeded random walks.
+Scoring a passage against a world rejects a step whose source or target
+modulus differs from the world's.
 
 Symmetries mediating a step are drawn from the 6912-element group of
 invertible dual affine maps.  For a source interval xi = x + ek of species
@@ -308,6 +310,19 @@ class World:
         )
 
 
+def score_against_world(seq, world: World) -> List[int]:
+    """Per-step symmetry counts, in order, read from the world matrix.
+
+    ``seq`` is a TransitionSequence.  Both ends of every step must carry the
+    world's modulus; each distinct modulus in the sequence is checked once.
+    """
+    n = world.modulus.n
+    if {end.modulus.n for step in seq.steps for end in step} - {n}:
+        raise ModulusMismatch("step and world moduli differ")
+    rows = world.counts
+    return [rows[n * a.a + a.b][n * b.a + b.b] for a, b in seq.steps]
+
+
 def _histogram(counts: Sequence[bytes], pad_to: int) -> dict:
     """Frequency of every count from 0 up to the largest one (at least pad_to).
 
@@ -449,11 +464,7 @@ def world_overlap(a: World, b: World) -> WorldOverlap:
     if a.modulus != b.modulus:
         raise ModulusMismatch("worlds have different moduli")
     total = a.total_steps
-    both = 0
-    for row_a, row_b in zip(a.counts, b.counts):
-        for ca, cb in zip(row_a, row_b):
-            if ca and cb:
-                both += 1
+    both = sum(1 for ra, rb in zip(a.counts, b.counts) for ca, cb in zip(ra, rb) if ca and cb)
     return WorldOverlap(
         Fraction(a.valid_step_count, total),
         Fraction(b.valid_step_count, total),
@@ -567,15 +578,10 @@ def walk(w: World, start: DualNumber, length: int, seed: int) -> WalkResult:
 
 def world_matrix_csv(w: World) -> str:
     """Full count matrix as `from,to,count` rows in row-major interval order."""
-    n = w.modulus.n
+    labels = [z.render() for z in w.intervals()]
     lines = ["from,to,count"]
-    for x in range(n):
-        for k in range(n):
-            row = w.counts[n * x + k]
-            src = f"{x}+e{k}"
-            for y in range(n):
-                for l in range(n):
-                    lines.append(f"{src},{y}+e{l},{row[n * y + l]}")
+    for src, row in zip(labels, w.counts):
+        lines.extend(f"{src},{dst},{c}" for dst, c in zip(labels, row))
     return "\n".join(lines) + "\n"
 
 

@@ -258,6 +258,17 @@ class TestAnalyze:
         assert out == ""
         assert f"--cantus-pc {pc} is not a pitch class in 0..11" in err
 
+    @pytest.mark.parametrize("pc", ["+3", "0_3", "\u0663", " 3"])
+    def test_fixed_pitch_class_is_a_residue(self, capsys, score_file, pc):
+        code, out, err = run(
+            capsys,
+            "analyze", "--file", str(score_file), "--format", "TWO_VOICE",
+            "--world", "fux", "--cantus-policy", "fixed", "--cantus-pc", pc,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--cantus-pc {pc} is not a pitch class in 0..11" in err
+
     @pytest.mark.parametrize("alpha", ["0", "1.5"])
     def test_alpha_outside_unit_interval_is_input_error(self, capsys, score_file, alpha):
         code, out, err = run(
@@ -378,6 +389,37 @@ class TestScaleReport:
         assert payload["forbidden_classes"] == [
             [0, 0, 4], [0, 0, 6], [0, 2, 0], [0, 2, 4],
         ]
+
+
+class TestResidueText:
+    """Every residue read from the command line is ASCII digits naming 0..11."""
+
+    @pytest.mark.parametrize("argv", [
+        ("step", "--dichotomy", "0,3,4,7,8,21", "--from", "0+e3", "--to", "2+e4"),
+        ("noll", "0,4,19"),
+        ("scale-report", "--dichotomy", "mystic", "--scale", "1,3,5,7,9,23"),
+    ])
+    def test_pitch_class_outside_the_residues_is_input_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "outside 0..11" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("noll", "0,-8,7"),
+        ("noll", "0,+4,7"),
+        ("noll", "0,4,\u0667"),
+        ("step", "--dichotomy", "fux", "--from", "0+e3\n", "--to", "2+e4"),
+        ("walk", "--dichotomy", "fux", "--start", "\u0660+e3"),
+    ])
+    def test_malformed_residue_is_input_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "malformed" in err
+
+    def test_spaces_after_commas_still_parse(self, capsys):
+        assert run(capsys, "noll", "0, 4, 7") == run(capsys, "noll", "0,4,7")
 
 
 class TestWalk:

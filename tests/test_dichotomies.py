@@ -44,8 +44,17 @@ class TestDichotomyBasics:
         assert d.render() == "0,3,4,7,8,9"
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="malformed pitch-class set"):
             parse_pitch_class_set("0,three,4")
+
+    @pytest.mark.parametrize("text", ["0,4,19", "0,3,4,7,8,21", "12", "0,4,7,-1", "0,+4", "0,1_1", "0,\u0664"])
+    def test_parse_reads_residues_only(self, text):
+        with pytest.raises(ValueError, match="malformed pitch-class set"):
+            parse_pitch_class_set(text)
+
+    def test_parse_keeps_spaces_around_items(self):
+        assert parse_pitch_class_set("0, 4, 7") == frozenset({0, 4, 7})
+        assert parse_pitch_class_set(" fux ") == FUX_HALF
 
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError):

@@ -36,6 +36,20 @@ class TestModulus:
         assert M12.reduce(-1) == 11
         assert M12.reduce(25) == 1
 
+    def test_parse_residue_reads_every_residue(self):
+        assert [M12.parse_residue(str(r)) for r in M12.residues()] == list(M12.residues())
+        assert M12.parse_residue("07") == 7
+
+    @pytest.mark.parametrize("text", ["", " 3", "3 ", "3\n", "+3", "-3", "1_0", "\u0663", "\u00b2", "3.0"])
+    def test_parse_residue_rejects_malformed(self, text):
+        with pytest.raises(ValueError, match="malformed residue"):
+            M12.parse_residue(text)
+
+    @pytest.mark.parametrize("text, n", [("12", 12), ("19", 12), ("8", 8)])
+    def test_parse_residue_rejects_values_outside_the_residues(self, text, n):
+        with pytest.raises(ValueError, match=f"outside 0..{n - 1}"):
+            Modulus(n).parse_residue(text)
+
 
 class TestResidueAffineMap:
     def test_apply(self):
@@ -90,7 +104,10 @@ class TestDualNumber:
         assert DualNumber.parse(z.render()) == z
         assert z.render() == f"{a}+e{b}"
 
-    @pytest.mark.parametrize("bad", ["3", "3+4", "e4", "3+e", "3-e4", "x+ek"])
+    @pytest.mark.parametrize("bad", [
+        "3", "3+4", "e4", "3+e", "3-e4", "x+ek",
+        "0+e3\n", "\u0663+e4", "0+e\u0663", " 0+e3", "0+e 3", "+1+e2", "1_0+e2",
+    ])
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             DualNumber.parse(bad)

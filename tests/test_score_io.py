@@ -210,6 +210,26 @@ class TestParseScore:
             parse_score(text, ScoreFormat.DRONE)
         assert info.value.line == 2
 
+    @pytest.mark.parametrize("row", [
+        "1_0,1,60,63", "2,1,60,6_4", "2,1,+11,63", "2,1,\u0666\u0660,63", "+2,1,60,63",
+        "2,1_0,60,63", "2,+1,60,63", "2,\u0662,60,63",
+    ])
+    def test_only_ascii_spellings_without_plus_or_underscore_parse(self, row):
+        text = f"{TWO_VOICE_HEADER}\n1,1,60,63\n{row}\n"
+        with pytest.raises(ParseError) as info:
+            parse_score(text, ScoreFormat.TWO_VOICE)
+        assert info.value.line == 3
+
+    def test_an_earlier_error_still_reports_first(self):
+        text = f"{DRONE_HEADER}\n1,1,sixty\n2,1,6_0\n"
+        with pytest.raises(ParseError, match="sixty") as info:
+            parse_score(text, ScoreFormat.DRONE)
+        assert info.value.line == 2
+
+    def test_spaces_around_fields_still_parse(self):
+        text = f"{DRONE_HEADER}\n 1, 2, 60 \n"
+        assert parse_score(text, ScoreFormat.DRONE) == [ScoreEvent(1, Fraction(2), None, 60)]
+
     def test_events_must_strictly_increase(self):
         backwards = f"{DRONE_HEADER}\n2,1,60\n1,1,62\n"
         with pytest.raises(OrderError):
