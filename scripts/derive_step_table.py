@@ -32,16 +32,14 @@ import sys
 from fractions import Fraction
 
 from counterpoint.dichotomies import Dichotomy, MYSTIC_HALF
-from counterpoint.model_tables import (
-    EXPECTED_STEP_HISTOGRAMS,
-    MYSTIC_STEP_TABLE,
-)
+from counterpoint.model_tables import EXPECTED_STEP_HISTOGRAMS, mystic_class_count
 from counterpoint.stats import PopulationSpec
 from counterpoint.worlds import _engine_class_table
 
 N = 12
 MARKED = sorted(MYSTIC_HALF)
 EVEN_INTERVALS = {0, 2, 4, 6, 8}  # marked intervals lying in the even whole-tone scale
+CLASSES = [(k, dd, l) for k in range(N) for dd in range(N) for l in range(N)]
 
 
 def engine_class_counts(d: Dichotomy) -> dict:
@@ -51,12 +49,7 @@ def engine_class_counts(d: Dichotomy) -> dict:
     is the engine's.
     """
     table = _engine_class_table(d)
-    return {
-        (k, dd, l): table[k][N * dd + l]
-        for k in range(N)
-        for dd in range(N)
-        for l in range(N)
-    }
+    return {(k, dd, l): table[k][N * dd + l] for k, dd, l in CLASSES}
 
 
 def derive_table(f_fux: dict) -> dict:
@@ -103,12 +96,7 @@ def derive_table(f_fux: dict) -> dict:
 
 def verify(table: dict, f_fux: dict) -> list:
     failures = []
-    frozen = {
-        (k, dd, l): MYSTIC_STEP_TABLE[144 * k + 12 * dd + l]
-        for k in range(N)
-        for dd in range(N)
-        for l in range(N)
-    }
+    frozen = {c: mystic_class_count(*c) for c in CLASSES}
     if table != frozen:
         diff = sum(1 for c in frozen if frozen[c] != table[c])
         failures.append(f"rebuilt table differs from frozen table on {diff} cells")

@@ -46,6 +46,7 @@ from .score_io import (
     Dedup,
     FixedCantus,
     ScoreFormat,
+    _plain,
     extract_transitions,
     parse_score,
 )
@@ -396,6 +397,16 @@ def cmd_walk(args) -> dict:
 # parser
 
 
+def _plain_number(kind):
+    """``kind`` read under the score-integer rule: ASCII, no ``_`` and no ``+``."""
+    def read(text: str):
+        if not _plain(text):
+            raise ValueError(text)
+        return kind(text)
+    read.__name__ = kind.__name__  # argparse names the type in its usage error
+    return read
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="counterpoint",
@@ -432,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--cantus-policy", choices=["column", "fixed"], default="column")
     analyze.add_argument("--cantus-pc")
     analyze.add_argument("--dedup", choices=[d.value for d in Dedup], default="CONSECUTIVE")
-    analyze.add_argument("--alpha", type=float, default=0.10)
+    analyze.add_argument("--alpha", type=_plain_number(float), default=0.10)
     analyze.add_argument("--no-yates", action="store_true")
     analyze.add_argument("--merge-low-expected", action="store_true")
     analyze.add_argument("--divisor", choices=[d.value for d in SdDivisor], default="N")
@@ -454,8 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     walk_p = sub.add_parser("walk", help="seeded random walk over valid steps")
     walk_p.add_argument("--dichotomy", required=True)
     walk_p.add_argument("--start", required=True, metavar="X+EK")
-    walk_p.add_argument("--length", type=int, default=8)
-    walk_p.add_argument("--seed", type=int, default=0)
+    walk_p.add_argument("--length", type=_plain_number(int), default=8)
+    walk_p.add_argument("--seed", type=_plain_number(int), default=0)
     walk_p.set_defaults(func=cmd_walk)
 
     # Added last so each command's usage and help keep their order.

@@ -156,11 +156,15 @@ _CLASS_ALIASES = {
 }
 
 
+def _dichotomy_class(canonical: tuple, orbit: set, modulus: Modulus) -> DichotomyClass:
+    """The class of ``orbit``, with its alias when n = 12 names one."""
+    alias = _CLASS_ALIASES.get(canonical) if modulus.n == 12 else None
+    return DichotomyClass(canonical, len(orbit), alias)
+
+
 def classify(d: Dichotomy) -> DichotomyClass:
     orbit = _orbit(d.half, d.modulus)
-    canonical = min(tuple(sorted(image)) for image in orbit)
-    alias = _CLASS_ALIASES.get(canonical) if d.modulus.n == 12 else None
-    return DichotomyClass(canonical, len(orbit), alias)
+    return _dichotomy_class(min(tuple(sorted(image)) for image in orbit), orbit, d.modulus)
 
 
 def _half_set_orbits(modulus: Modulus) -> dict:
@@ -190,11 +194,7 @@ def strong_atlas(modulus: Modulus = Modulus()) -> list:
     group_order = modulus.n * len(modulus.units())
     residues = frozenset(modulus.residues())
     return [
-        DichotomyClass(
-            canonical,
-            len(orbit),
-            _CLASS_ALIASES.get(canonical) if modulus.n == 12 else None,
-        )
+        _dichotomy_class(canonical, orbit, modulus)
         for canonical, orbit in _half_set_orbits(modulus).items()
         if len(orbit) == group_order and residues - frozenset(canonical) in orbit
     ]
@@ -274,9 +274,8 @@ def triad_covers(chord: Iterable, modulus: Modulus = Modulus()) -> TriadCoverRep
     near = []
     for m_triad in mino:
         for j_triad in maj:
-            union = frozenset(m_triad) | frozenset(j_triad)
-            leftover = chord_set - union
-            if union <= chord_set and len(leftover) == 1:
+            leftover = chord_set - frozenset(m_triad) - frozenset(j_triad)
+            if len(leftover) == 1:
                 near.append((m_triad, j_triad, tuple(sorted(leftover))))
     return TriadCoverReport(
         tuple(sorted(chord_set)), aug, dim, maj, mino, tuple(sorted(near))

@@ -131,31 +131,22 @@ def _species(d: Dichotomy, k: int) -> frozenset:
 
 
 @lru_cache(maxsize=None)
-def _overlap_rows(modulus: Modulus, species: frozenset) -> tuple:
-    """J[a][w] = |(a*species + w) cap species| for every unit a."""
-    n = modulus.n
-    rows = {}
-    for a in modulus.units():
-        scaled = [(a * m) % n for m in species]
-        rows[a] = tuple(
-            sum(1 for m in scaled if (m + w) % n in species) for w in range(n)
-        )
-    return tuple(sorted(rows.items()))
-
-
 def _c3_scores(modulus: Modulus, species: frozenset) -> dict:
-    """a -> {g: C3 score per coset t mod g} for every divisor g of n.
+    """a -> {g: C3 score per coset t mod g} for every unit a and divisor g of n.
 
-    The score sum_y J[a][(b*y + t) mod n] of (a, b, t) depends on b only
-    through g = gcd(b, n) and on t only through t mod g: y -> b*y covers the
+    With J[a][w] = |(a*species + w) cap species|, the score
+    sum_y J[a][(b*y + t) mod n] of (a, b, t) depends on b only through
+    g = gcd(b, n) and on t only through t mod g: y -> b*y covers the
     multiples of g, each g times, so it is g * sum_{j < n/g} J[a][(t mod g) + j*g].
     """
     n = modulus.n
     divisors = [g for g in range(1, n + 1) if n % g == 0]
-    return {
-        a: {g: [g * sum(j_row[r::g]) for r in range(g)] for g in divisors}
-        for a, j_row in _overlap_rows(modulus, species)
-    }
+    scores = {}
+    for a in modulus.units():
+        scaled = [(a * m) % n for m in species]
+        j_row = [sum(1 for m in scaled if (m + w) % n in species) for w in range(n)]
+        scores[a] = {g: [g * sum(j_row[r::g]) for r in range(g)] for g in divisors}
+    return scores
 
 
 def _c2_solutions(n: int, v: int) -> list:
@@ -166,21 +157,22 @@ def _c2_solutions(n: int, v: int) -> list:
     return solutions
 
 
-def _symmetry_parts(d: Dichotomy, k: int, scores: dict, solutions: list) -> list:
+def _symmetry_parts(d: Dichotomy, k: int) -> list:
     """(a, b, t) of every symmetry (a, b, 0, t) of 0+ek, ascending.
 
-    ``scores`` is :func:`_c3_scores` of k's species and ``solutions`` is
-    :func:`_c2_solutions` of the polarity's v.  At cantus 0, C2 and C1 do
-    not involve b, so each unit's passing translations are found once,
-    scored once per divisor g of n, and the best (a, g, t) are expanded to
-    every b with gcd(b, n) = g.
+    At cantus 0, C2 and C1 do not involve b, so each unit's passing
+    translations are found once, scored once per divisor g of n from
+    :func:`_c3_scores` of k's species, and the best (a, g, t) are expanded
+    to every b with gcd(b, n) = g.
     """
     p = _polarity_or_raise(d)
     n = d.modulus.n
-    opposite = d.complement() if _species(d, k) is d.half else d.half
+    species = _species(d, k)
+    opposite = d.complement() if species is d.half else d.half
+    solutions = _c2_solutions(n, p.v)
     best_score = -1
     best: List[tuple] = []
-    for a, by_g in scores.items():
+    for a, by_g in _c3_scores(d.modulus, species).items():
         ai = pow(a, -1, n)
         # C2: t(1 - v) = u(1 - a); C1: a^-1(k - t), the interval part of
         # g^-1(0+ek), lies in the opposite species.
@@ -203,42 +195,33 @@ def counterpoint_symmetries(d: Dichotomy, xi: DualNumber) -> list:
 
     The symmetries of x+ek are those of 0+ek conjugated by the translation
     by x, (a, b, 0, t) -> (a, b, x(1 - a), t - b*x).  Returned maps are
-    sorted; the step count toward a successor eta is ``sum(1 for g in result
-    if preimage interval of eta under g is in xi's species)`` — see
+    sorted; the step count toward a successor eta is the number of them
+    whose preimage of eta has its interval part in xi's species — see
     :func:`step_count`.
     """
     if xi.modulus != d.modulus:
         raise ModulusMismatch("interval and dichotomy moduli differ")
-    p = _polarity_or_raise(d)
     m = d.modulus
     n, x = m.n, xi.a
-    parts = _symmetry_parts(d, xi.b, _c3_scores(m, _species(d, xi.b)), _c2_solutions(n, p.v))
     return [
         DualAffineMap(a, b, s, t, m)
-        for a, b, s, t in sorted((a, b, x * (1 - a) % n, (t - b * x) % n) for a, b, t in parts)
+        for a, b, s, t in sorted(
+            (a, b, x * (1 - a) % n, (t - b * x) % n) for a, b, t in _symmetry_parts(d, xi.b)
+        )
     ]
 
 
-def _pullbacks(symmetries) -> list:
-    """(a, b, t) of g^-1 for every symmetry g."""
-    out = []
-    for g in symmetries:
-        gi = g.invert()
-        out.append((gi.a, gi.b, gi.t))
-    return out
-
-
-def _pull_count(pulls: list, species: frozenset, n: int, y: int, l: int) -> int:
-    """How many pull-backs carry y+el to an interval in ``species``."""
-    return sum(1 for a, b, t in pulls if (a * l + b * y + t) % n in species)
-
-
 def step_count(d: Dichotomy, xi: DualNumber, eta: DualNumber) -> int:
-    """Number of symmetries of xi mapping a source-species interval onto eta."""
+    """Number of symmetries of xi mapping a source-species interval onto eta.
+
+    The pull-back g^-1 carries eta = y+el to an interval part a*l + b*y + t.
+    """
     if xi.modulus != d.modulus or eta.modulus != d.modulus:
         raise ModulusMismatch("step and dichotomy moduli differ")
-    pulls = _pullbacks(counterpoint_symmetries(d, xi))
-    return _pull_count(pulls, _species(d, xi.b), d.modulus.n, eta.a, eta.b)
+    species = _species(d, xi.b)
+    n = d.modulus.n
+    pulls = [g.invert() for g in counterpoint_symmetries(d, xi)]
+    return sum(1 for g in pulls if (g.a * eta.b + g.b * eta.a + g.t) % n in species)
 
 
 class RestrictionMode(Enum):
@@ -347,23 +330,19 @@ def _engine_class_table(d: Dichotomy) -> tuple:
     adds R_a[c], whose byte lane l is that indicator.  Rows are added as
     integers, one byte lane per l; a lane cannot carry past 255 pull-backs.
     """
-    p = _polarity_or_raise(d)
-    m = d.modulus
-    n = m.n
-    solutions = _c2_solutions(n, p.v)
-    inverse = {a: pow(a, -1, n) for a in m.units()}
-    tables = {}
+    n = d.modulus.n
+    inverse = {a: pow(a, -1, n) for a in d.modulus.units()}
+    rows_by_species = {}
     for species in (d.half, d.complement()):
-        species_rows = {}
+        species_rows = rows_by_species[species] = {}
         for a, ai in inverse.items():
             # a*l + c = a*(l + r) with r = c/a, so R_a[c] is R_a[0] rotated by r lanes.
             lanes = bytes((a * l) % n in species for l in range(n)) * 2
             species_rows[a] = [int.from_bytes(lanes[ai * c % n:][:n], "big") for c in range(n)]
-        tables[species] = (_c3_scores(m, species), species_rows)
     slabs = []
     for k in range(n):
-        scores, species_rows = tables[_species(d, k)]
-        parts = _symmetry_parts(d, k, scores, solutions)
+        species_rows = rows_by_species[_species(d, k)]
+        parts = _symmetry_parts(d, k)
         if len(parts) > 255:
             raise ValueError(f"{len(parts)} pull-backs of 0+e{k} overflow a byte count")
         # g = (a, b, 0, t) has g^-1 = (a^-1, -a^-2 b, 0, -a^-1 t).
@@ -507,36 +486,19 @@ def scale_restriction_report(
     (cantus + interval) to lie in the scale.
     """
     n = w.modulus.n
-    scale_set = frozenset(w.modulus.reduce(p) for p in scale)
-    half = sorted(w.dichotomy.half)
-    restricted = 0
-    forbidden = []
-    classes = set()
-    for x in sorted(scale_set):
-        for y in sorted(scale_set):
-            for k in half:
-                if mode is RestrictionMode.BOTH_VOICES and (x + k) % n not in scale_set:
-                    continue
-                for l in half:
-                    if mode is RestrictionMode.BOTH_VOICES and (y + l) % n not in scale_set:
-                        continue
-                    restricted += 1
-                    if w.counts[n * x + k][n * y + l] == 0:
-                        forbidden.append(
-                            (
-                                DualNumber(x, k, w.modulus),
-                                DualNumber(y, l, w.modulus),
-                            )
-                        )
-                        classes.add((k, (y - x) % n, l))
-    forbidden.sort(key=lambda st: (st[0].a, st[0].b, st[1].a, st[1].b))
-    return ScaleRestrictionReport(
-        tuple(sorted(scale_set)),
-        mode,
-        restricted,
-        tuple(forbidden),
-        tuple(sorted(classes)),
+    scale = tuple(sorted({w.modulus.reduce(p) for p in scale}))
+    both = mode is RestrictionMode.BOTH_VOICES
+    # Voices in (x, k) order, so the forbidden steps come out in (x, k, y, l) order.
+    voices = [
+        (x, k) for x in scale for k in sorted(w.dichotomy.half)
+        if not both or (x + k) % n in scale
+    ]
+    forbidden = tuple(
+        (DualNumber(x, k, w.modulus), DualNumber(y, l, w.modulus))
+        for x, k in voices for y, l in voices if w.counts[n * x + k][n * y + l] == 0
     )
+    classes = {(src.b, (dst.a - src.a) % n, dst.b) for src, dst in forbidden}
+    return ScaleRestrictionReport(scale, mode, len(voices) ** 2, forbidden, tuple(sorted(classes)))
 
 
 class WalkResult(_Value):

@@ -280,6 +280,17 @@ class TestAnalyze:
         assert out == ""
         assert "alpha" in err
 
+    @pytest.mark.parametrize("alpha", ["0.1_0", "\u0661e-1", "+0.1"])
+    def test_alpha_follows_the_score_integer_rule(self, capsys, score_file, alpha):
+        code, out, err = run(
+            capsys,
+            "analyze", "--file", str(score_file), "--format", "TWO_VOICE",
+            "--world", "fux", "--alpha", alpha,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"argument --alpha: invalid float value: {alpha!r}" in err
+
     def test_fixed_policy_requires_pitch_class(self, capsys, score_file):
         code, _, err = run(
             capsys,
@@ -457,6 +468,18 @@ class TestWalk:
         assert code == 2
         assert out == ""
         assert "non-negative" in err
+
+    @pytest.mark.parametrize("option, value", [
+        ("--length", "\u0663"), ("--length", "+3"), ("--length", "1_0"),
+        ("--seed", "1_0"), ("--seed", "+7"), ("--seed", "\u0667"),
+    ])
+    def test_numbers_follow_the_score_integer_rule(self, capsys, option, value):
+        code, out, err = run(
+            capsys, "walk", "--dichotomy", "fux", "--start", "0+e3", option, value
+        )
+        assert code == 2
+        assert out == ""
+        assert f"argument {option}: invalid int value: {value!r}" in err
 
 
 # SHA-256 of stdout for every command in every output form, pinned so that

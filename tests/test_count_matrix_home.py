@@ -2,7 +2,9 @@
 
 Read with ``ast``: outside ``worlds.py`` no package module or script reads
 a ``.counts`` attribute, and ``score_io`` imports nothing from ``worlds``,
-so a change to the row and column layout touches one file.
+so a change to the row and column layout touches one file.  Likewise the
+frozen mystic table is indexed only in ``model_tables.py`` and ``worlds.py``;
+everything else reads it through ``mystic_class_count``.
 """
 
 import ast
@@ -48,3 +50,24 @@ def test_score_io_imports_nothing_from_worlds():
             modules += [alias.name for alias in node.names]
     assert modules
     assert [m for m in modules if "worlds" in m.split(".")] == []
+
+
+def _table_subscripts(path: Path) -> list:
+    return [
+        node.lineno for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Subscript)
+        and "MYSTIC_STEP_TABLE" in (getattr(node.value, "id", None), getattr(node.value, "attr", None))
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name not in ("model_tables.py", "worlds.py")],
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_only_model_tables_and_worlds_index_the_mystic_table(path):
+    lines = _table_subscripts(path)
+    assert lines == [], f"{path.name} subscripts MYSTIC_STEP_TABLE on lines {lines}"
+
+
+def test_model_tables_still_indexes_the_mystic_table():
+    assert _table_subscripts(PACKAGE / "model_tables.py")

@@ -25,6 +25,15 @@ from counterpoint import (
 from counterpoint import worlds
 
 
+def overlap_rows(modulus: Modulus, species: frozenset) -> dict:
+    """J[a][w] = |(a*species + w) cap species| for every unit a, from the definition."""
+    n = modulus.n
+    return {
+        a: [len({(a * m + w) % n for m in species} & species) for w in range(n)]
+        for a in modulus.units()
+    }
+
+
 @lru_cache(maxsize=None)
 def strong_dichotomies(n: int) -> tuple:
     modulus = Modulus(n)
@@ -40,7 +49,7 @@ def reference_symmetries(d: Dichotomy, xi: DualNumber) -> list:
     x, k = xi.a, xi.b
     species = worlds._species(d, k)
     opposite = d.half if species is not d.half else d.complement()
-    j_rows = dict(worlds._overlap_rows(d.modulus, species))
+    j_rows = overlap_rows(d.modulus, species)
     best_score, best = -1, []
     for a in d.modulus.units():
         ai = pow(a, -1, n)
@@ -119,7 +128,7 @@ def test_c3_score_closed_form_equals_the_direct_sum(n):
     for d in strong_dichotomies(n):
         for species in (d.half, d.complement()):
             scores = worlds._c3_scores(modulus, species)
-            j_rows = dict(worlds._overlap_rows(modulus, species))
+            j_rows = overlap_rows(modulus, species)
             assert sorted(scores) == list(modulus.units())
             for a, j_row in j_rows.items():
                 for b in range(n):
