@@ -10,8 +10,7 @@ unique *polarity*: an invertible affine map carrying K onto D.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .residue_algebra import Modulus, ResidueAffineMap, _fill, _Value
 
@@ -112,22 +111,34 @@ class StrengthCertificate(_Value):
         return self.swaps[0] if len(self.swaps) == 1 else None
 
 
-def strength(d: Dichotomy) -> StrengthCertificate:
-    """Filter all invertible affine maps for stabilizer and polarity.
+def _mask(xs, n: int) -> int:
+    """The n-bit mask of a residue set: residue x at bit n-1-x."""
+    return sum(1 << (n - 1 - x) for x in xs)
 
-    The stabilizer collects every map with m(K) = K; the swaps collect
-    every map with m(K) = D.
-    """
-    comp = d.complement()
-    stabilizer = []
-    swaps = []
-    for m in ResidueAffineMap.invertible_maps(d.modulus):
-        image = m.apply_set(d.half)
-        if image == d.half:
-            stabilizer.append(m)
-        elif image == comp:
-            swaps.append(m)
-    return StrengthCertificate(tuple(sorted(stabilizer)), tuple(sorted(swaps)))
+
+def _residues(mask: int, n: int) -> tuple:
+    """The sorted residues of a mask."""
+    return tuple(x for x in range(n) if mask >> (n - 1 - x) & 1)
+
+
+def _images(xs, n: int, linear) -> Iterator[tuple]:
+    """(u, v, mask of {v*x + u : x in xs}) for v in ``linear``, u in Z_n; u rotates right."""
+    full = (1 << n) - 1
+    for v in linear:
+        mask = _mask({v * x % n for x in xs}, n)
+        for u in range(n):
+            yield u, v, (mask >> u | mask << (n - u)) & full
+
+
+def strength(d: Dichotomy) -> StrengthCertificate:
+    """Filter the invertible affine maps: the stabilizer has m(K) = K, the swaps m(K) = D."""
+    n = d.modulus.n
+    half = _mask(d.half, n)
+    found: dict = {half: [], half ^ ((1 << n) - 1): []}
+    for u, v, image in _images(d.half, n, d.modulus.units()):
+        if image in found:
+            found[image].append(ResidueAffineMap(u, v, d.modulus))
+    return StrengthCertificate(*(tuple(sorted(maps)) for maps in found.values()))
 
 
 class DichotomyClass(_Value):
@@ -139,8 +150,9 @@ class DichotomyClass(_Value):
         _fill(self, canonical_representative, orbit_size, alias)
 
 
-def _orbit(half: frozenset, modulus: Modulus) -> set:
-    return {m.apply_set(half) for m in ResidueAffineMap.invertible_maps(modulus)}
+def _orbit(xs, modulus: Modulus) -> set:
+    """The masks of every invertible affine image of a residue set."""
+    return {image for _, _, image in _images(xs, modulus.n, modulus.units())}
 
 
 # The mystic class's canonical representative, kept as a literal; a test recomputes it.
@@ -150,10 +162,7 @@ _MYSTIC_CANONICAL = (0, 1, 2, 4, 6, 10)
 # standard catalogue of twelve-tone set classes) and the Fuxian consonances,
 # whose canonical representative is that of classify(Dichotomy.fux()).
 # Other strong classes are reported by canonical representative only.
-_CLASS_ALIASES = {
-    _MYSTIC_CANONICAL: "78 (mystic)",
-    (0, 1, 2, 5, 6, 9): "Fux",
-}
+_CLASS_ALIASES = {_MYSTIC_CANONICAL: "78 (mystic)", (0, 1, 2, 5, 6, 9): "Fux"}
 
 
 def _dichotomy_class(canonical: tuple, orbit: set, modulus: Modulus) -> DichotomyClass:
@@ -163,24 +172,30 @@ def _dichotomy_class(canonical: tuple, orbit: set, modulus: Modulus) -> Dichotom
 
 
 def classify(d: Dichotomy) -> DichotomyClass:
+    """The orbit's largest mask is its lexicographically smallest sorted half."""
     orbit = _orbit(d.half, d.modulus)
-    return _dichotomy_class(min(tuple(sorted(image)) for image in orbit), orbit, d.modulus)
+    return _dichotomy_class(_residues(max(orbit), d.modulus.n), orbit, d.modulus)
 
 
 def _half_set_orbits(modulus: Modulus) -> dict:
-    """Canonical representative -> orbit, over every affine class of half-sets.
+    """Canonical representative's mask -> orbit, over every class of half-sets.
 
-    Half-sets are walked in lexicographic order, skipping those already seen,
-    so each orbit is enumerated once, from its minimum: the canonical
-    representative.
+    Half-set masks are walked downward (their complements upward, by Gosper's
+    rule), which is the lexicographic order of their sorted residues, skipping
+    those already seen; so each orbit is met once, at its canonical representative.
     """
+    n = modulus.n
+    full = (1 << n) - 1
+    low = (1 << n // 2) - 1
     visited: set = set()
     orbits: dict = {}
-    for half in combinations(modulus.residues(), modulus.n // 2):
-        hs = frozenset(half)
-        if hs not in visited:
-            orbits[half] = _orbit(hs, modulus)
+    while low <= full:
+        half = full ^ low
+        if half not in visited:
+            orbits[half] = _orbit(_residues(half, n), modulus)
             visited |= orbits[half]
+        bit = low & -low
+        low = ((((low + bit) ^ low) >> 2) // bit) | (low + bit)
     return orbits
 
 
@@ -191,18 +206,19 @@ def strong_atlas(modulus: Modulus = Modulus()) -> list:
     trivial iff the orbit has all n*phi(n) images, and then exactly one map
     swaps the halves iff the complement lies in the orbit.
     """
-    group_order = modulus.n * len(modulus.units())
-    residues = frozenset(modulus.residues())
+    n = modulus.n
+    group_order = n * len(modulus.units())
     return [
-        _dichotomy_class(canonical, orbit, modulus)
-        for canonical, orbit in _half_set_orbits(modulus).items()
-        if len(orbit) == group_order and residues - frozenset(canonical) in orbit
+        _dichotomy_class(_residues(half, n), orbit, modulus)
+        for half, orbit in _half_set_orbits(modulus).items()
+        if len(orbit) == group_order and half ^ ((1 << n) - 1) in orbit
     ]
 
 
 def all_class_orbit_sizes(modulus: Modulus = Modulus()) -> dict:
     """Canonical representative -> orbit size, over every half-set class."""
-    return {c: len(orbit) for c, orbit in _half_set_orbits(modulus).items()}
+    n = modulus.n
+    return {_residues(half, n): len(orbit) for half, orbit in _half_set_orbits(modulus).items()}
 
 
 class ChordEndomorphismReport(_Value):
@@ -214,32 +230,25 @@ class ChordEndomorphismReport(_Value):
         _fill(self, chord, endomorphisms, linear_parts, strong_verdict)
 
 
-def chord_endomorphisms(
-    chord: Iterable, modulus: Modulus = Modulus()
-) -> ChordEndomorphismReport:
+def chord_endomorphisms(chord: Iterable, modulus: Modulus = Modulus()) -> ChordEndomorphismReport:
     """Brute-force the full n*n endomorphism monoid of a chord.
 
-    ``strong_verdict`` is true iff the linear parts form a half-set whose
-    dichotomy is strong.
+    Maps come in (v, u) order.  ``strong_verdict`` is true iff the linear
+    parts form a half-set whose dichotomy is strong.
     """
     chord_set = frozenset(modulus.reduce(c) for c in chord)
     if not chord_set:
         raise ValueError("chord must be nonempty")
+    n = modulus.n
+    inside = _mask(chord_set, n)
     endos = [
-        m
-        for m in ResidueAffineMap.all_maps(modulus)
-        if m.apply_set(chord_set) <= chord_set
+        ResidueAffineMap(u, v, modulus)
+        for u, v, image in _images(chord_set, n, modulus.residues())
+        if image | inside == inside
     ]
     linear_parts = tuple(sorted({m.v for m in endos}))
-    verdict = False
-    if len(linear_parts) == modulus.n // 2:
-        verdict = strength(Dichotomy(frozenset(linear_parts), modulus)).is_strong
-    return ChordEndomorphismReport(
-        tuple(sorted(chord_set)),
-        tuple(sorted(endos, key=lambda m: (m.v, m.u))),
-        linear_parts,
-        verdict,
-    )
+    verdict = len(linear_parts) == n // 2 and strength(Dichotomy(linear_parts, modulus)).is_strong
+    return ChordEndomorphismReport(tuple(sorted(chord_set)), tuple(endos), linear_parts, verdict)
 
 
 class TriadCoverReport(_Value):
@@ -256,30 +265,24 @@ class TriadCoverReport(_Value):
         _fill(self, chord, augmented, diminished, major, minor, minor_major_near_covers)
 
 
-def _contained_translates(shape: tuple, chord: frozenset, modulus: Modulus) -> tuple:
-    found = []
-    for t in modulus.residues():
-        triad = frozenset((p + t) % modulus.n for p in shape)
-        if triad <= chord:
-            found.append(tuple(sorted(triad)))
-    return tuple(sorted(set(found)))
+def _contained_translates(shape: tuple, inside: int, n: int) -> tuple:
+    found = {image for _, _, image in _images(shape, n, (1,)) if image | inside == inside}
+    return tuple(_residues(image, n) for image in sorted(found, reverse=True))
 
 
 def triad_covers(chord: Iterable, modulus: Modulus = Modulus()) -> TriadCoverReport:
     chord_set = frozenset(modulus.reduce(c) for c in chord)
-    aug = _contained_translates(AUGMENTED, chord_set, modulus)
-    dim = _contained_translates(DIMINISHED, chord_set, modulus)
-    maj = _contained_translates(MAJOR, chord_set, modulus)
-    mino = _contained_translates(MINOR, chord_set, modulus)
+    n = modulus.n
+    inside = _mask(chord_set, n)
+    shapes = (AUGMENTED, DIMINISHED, MAJOR, MINOR)
+    aug, dim, maj, mino = (_contained_translates(shape, inside, n) for shape in shapes)
     near = []
     for m_triad in mino:
         for j_triad in maj:
             leftover = chord_set - frozenset(m_triad) - frozenset(j_triad)
             if len(leftover) == 1:
                 near.append((m_triad, j_triad, tuple(sorted(leftover))))
-    return TriadCoverReport(
-        tuple(sorted(chord_set)), aug, dim, maj, mino, tuple(sorted(near))
-    )
+    return TriadCoverReport(tuple(sorted(chord_set)), aug, dim, maj, mino, tuple(sorted(near)))
 
 
 def whole_tone_affinity(chord: Iterable, modulus: Modulus = Modulus()) -> tuple:
@@ -304,8 +307,4 @@ def mystic_parity(chord: Iterable, modulus: Modulus = Modulus()) -> str:
     if classify(Dichotomy(chord_set, modulus)).canonical_representative != _MYSTIC_CANONICAL:
         return "NotMysticForm"
     even, odd = whole_tone_affinity(chord_set, modulus)
-    if even == 5:
-        return "EVEN"
-    if odd == 5:
-        return "ODD"
-    return "NotMysticForm"
+    return "EVEN" if even == 5 else "ODD" if odd == 5 else "NotMysticForm"

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import operator
 from math import gcd
-from typing import Iterator
 
 _set = object.__setattr__
 
@@ -27,10 +26,10 @@ def _fill(value, *fields) -> None:
         _set(value, name, field)
 
 
-def _by_key(op):
+def _by_key(op, key):
     def method(self, other):
         if other.__class__ is self.__class__:
-            return op(self._key(self), other._key(other))
+            return op(key(self), key(other))
         return NotImplemented
 
     return method
@@ -40,23 +39,22 @@ class _Value:
     """A frozen value whose fields are its ``__slots__``, in order.
 
     Equality, hash and repr read the tuple of the fields, got by one key
-    function per class; ``order=True`` adds the order of that tuple.  Each
-    ``__init__`` sets the fields through ``_set`` or ``_fill``.
+    function per class, which each class's comparisons and hash close over;
+    ``order=True`` adds the order of that tuple.  Each ``__init__`` sets the
+    fields through ``_set`` or ``_fill``.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, order: bool = False) -> None:
         get = operator.attrgetter(*cls.__slots__) if cls.__slots__ else lambda self: ()
-        cls._key = staticmethod(get if len(cls.__slots__) != 1 else lambda self: (get(self),))
+        key = get if len(cls.__slots__) != 1 else lambda self: (get(self),)
+        cls._key = staticmethod(key)
+        cls.__eq__ = _by_key(operator.eq, key)
+        cls.__hash__ = lambda self: hash(key(self))
         if order:
             ops = (operator.lt, operator.le, operator.gt, operator.ge)
-            cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = map(_by_key, ops)
-
-    __eq__ = _by_key(operator.eq)
-
-    def __hash__(self) -> int:
-        return hash(self._key(self))
+            cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = (_by_key(op, key) for op in ops)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._key(self)))
@@ -123,12 +121,6 @@ class ResidueAffineMap(_Value, order=True):
         _set(self, "v", v % modulus.n)
         _set(self, "modulus", modulus)
 
-    def apply(self, x: int) -> int:
-        return (self.v * x + self.u) % self.modulus.n
-
-    def apply_set(self, xs) -> frozenset:
-        return frozenset(self.apply(x) for x in xs)
-
     def compose(self, g: "ResidueAffineMap") -> "ResidueAffineMap":
         """Return the map ``x -> self(g(x))`` (g first, then self)."""
         _require_same_modulus(self.modulus, g.modulus)
@@ -139,19 +131,6 @@ class ResidueAffineMap(_Value, order=True):
 
     def render(self) -> str:
         return f"e^{self.u}.{self.v}"
-
-    @classmethod
-    def all_maps(cls, modulus: Modulus = Modulus()) -> Iterator["ResidueAffineMap"]:
-        """Every affine self-map (invertible or not): n*n maps."""
-        for v in modulus.residues():
-            for u in modulus.residues():
-                yield cls(u, v, modulus)
-
-    @classmethod
-    def invertible_maps(cls, modulus: Modulus = Modulus()) -> Iterator["ResidueAffineMap"]:
-        for v in modulus.units():
-            for u in modulus.residues():
-                yield cls(u, v, modulus)
 
 
 class DualNumber(_Value, order=True):

@@ -112,7 +112,9 @@ def sample_summary(
 
 
 # Acklam's rational approximation to the standard normal quantile, refined
-# with one Halley step through math.erfc for close-to-double precision.
+# with one Halley step through math.erfc for close-to-double precision.  The
+# tails below _P_LOW and above 1 - _P_LOW use the _C/_D branch.
+_P_LOW = 0.02425
 _A = (
     -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
     1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
@@ -135,13 +137,12 @@ def normal_quantile(p: float) -> float:
     """Inverse of the standard normal CDF on (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {p}")
-    p_low = 0.02425
-    if p < p_low:
+    if p < _P_LOW:
         q = math.sqrt(-2 * math.log(p))
         x = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / (
             (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1
         )
-    elif p <= 1 - p_low:
+    elif p <= 1 - _P_LOW:
         q = p - 0.5
         r = q * q
         x = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / (
@@ -152,6 +153,10 @@ def normal_quantile(p: float) -> float:
         x = -(((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / (
             (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1
         )
+    if x * x > 1400:
+        # p below about 1e-306: exp(x*x/2) nears overflow, so the rational
+        # approximation stands alone (relative error under 1.2e-9).
+        return x
     err = 0.5 * math.erfc(-x / math.sqrt(2)) - p
     u = err * math.sqrt(2 * math.pi) * math.exp(x * x / 2)
     return x - u / (1 + x * u / 2)
@@ -177,7 +182,9 @@ def effect_size(
     if pop.sd == 0:
         raise DegeneratePopulation("population sd is zero")
     d = float((sample.mean - pop.mean)) / pop.sd
-    z = normal_quantile(1 - alpha / 2)
+    # 1 - alpha/2 loses alpha's digits, so a small alpha/2 is read from the lower tail.
+    tail = alpha / 2
+    z = -normal_quantile(tail) if tail < _P_LOW else normal_quantile(1 - tail)
     half = z / math.sqrt(sample.n)
     return EffectSizeResult(d, d - half, d + half, alpha, z)
 

@@ -1,11 +1,24 @@
-"""Test oracles for dual affine maps: the whole symmetry pool, the image of
-one dual number, and two independent commutation checks.
+"""Test oracles: the whole dual symmetry pool, the image of one dual number,
+two independent commutation checks, and the set-based reference for the
+affine orbits of ``dichotomies`` (one ``ResidueAffineMap`` and one
+``frozenset`` per image).
 
 The package needs none of these; tests import them from here, as they do
 ``paper_witnesses``.
 """
 
-from counterpoint import DualAffineMap, Modulus
+from itertools import combinations
+
+from counterpoint import (
+    ChordEndomorphismReport,
+    Dichotomy,
+    DichotomyClass,
+    DualAffineMap,
+    Modulus,
+    ResidueAffineMap,
+    StrengthCertificate,
+)
+from counterpoint.dichotomies import _CLASS_ALIASES
 
 
 def enumerate_dual_symmetries(modulus: Modulus = Modulus()):
@@ -39,3 +52,95 @@ def commutes_pointwise(g: DualAffineMap, pol: DualAffineMap) -> bool:
 def commutes_algebraic(g: DualAffineMap, pol: DualAffineMap) -> bool:
     """Check commutation by composing the two maps symbolically."""
     return g.compose(pol) == pol.compose(g)
+
+
+def apply(m: ResidueAffineMap, x: int) -> int:
+    """m(x) = v*x + u mod n."""
+    return (m.v * x + m.u) % m.modulus.n
+
+
+def apply_set(m: ResidueAffineMap, xs) -> frozenset:
+    return frozenset(apply(m, x) for x in xs)
+
+
+def all_maps(modulus: Modulus = Modulus()):
+    """Every affine self-map (invertible or not): n*n maps."""
+    for v in modulus.residues():
+        for u in modulus.residues():
+            yield ResidueAffineMap(u, v, modulus)
+
+
+def invertible_maps(modulus: Modulus = Modulus()):
+    for v in modulus.units():
+        for u in modulus.residues():
+            yield ResidueAffineMap(u, v, modulus)
+
+
+def strength(d: Dichotomy) -> StrengthCertificate:
+    comp = d.complement()
+    stabilizer = []
+    swaps = []
+    for m in invertible_maps(d.modulus):
+        image = apply_set(m, d.half)
+        if image == d.half:
+            stabilizer.append(m)
+        elif image == comp:
+            swaps.append(m)
+    return StrengthCertificate(tuple(sorted(stabilizer)), tuple(sorted(swaps)))
+
+
+def orbit(half: frozenset, modulus: Modulus) -> set:
+    return {apply_set(m, half) for m in invertible_maps(modulus)}
+
+
+def dichotomy_class(canonical: tuple, images: set, modulus: Modulus) -> DichotomyClass:
+    alias = _CLASS_ALIASES.get(canonical) if modulus.n == 12 else None
+    return DichotomyClass(canonical, len(images), alias)
+
+
+def classify(d: Dichotomy) -> DichotomyClass:
+    images = orbit(d.half, d.modulus)
+    return dichotomy_class(min(tuple(sorted(image)) for image in images), images, d.modulus)
+
+
+def half_set_orbits(modulus: Modulus) -> dict:
+    """Canonical representative -> orbit, walking half-sets in lexicographic order."""
+    visited: set = set()
+    orbits: dict = {}
+    for half in combinations(modulus.residues(), modulus.n // 2):
+        hs = frozenset(half)
+        if hs not in visited:
+            orbits[half] = orbit(hs, modulus)
+            visited |= orbits[half]
+    return orbits
+
+
+def strong_atlas(modulus: Modulus = Modulus()) -> list:
+    group_order = modulus.n * len(modulus.units())
+    residues = frozenset(modulus.residues())
+    return [
+        dichotomy_class(canonical, images, modulus)
+        for canonical, images in half_set_orbits(modulus).items()
+        if len(images) == group_order and residues - frozenset(canonical) in images
+    ]
+
+
+def all_class_orbit_sizes(modulus: Modulus = Modulus()) -> dict:
+    return {c: len(images) for c, images in half_set_orbits(modulus).items()}
+
+
+def chord_endomorphisms(chord, modulus: Modulus = Modulus()) -> ChordEndomorphismReport:
+    chord_set = frozenset(modulus.reduce(c) for c in chord)
+    if not chord_set:
+        raise ValueError("chord must be nonempty")
+    endos = [m for m in all_maps(modulus) if apply_set(m, chord_set) <= chord_set]
+    linear_parts = tuple(sorted({m.v for m in endos}))
+    verdict = False
+    if len(linear_parts) == modulus.n // 2:
+        verdict = strength(Dichotomy(frozenset(linear_parts), modulus)).is_strong
+    return ChordEndomorphismReport(
+        tuple(sorted(chord_set)),
+        tuple(sorted(endos, key=lambda m: (m.v, m.u))),
+        linear_parts,
+        verdict,
+    )

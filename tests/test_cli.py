@@ -280,6 +280,15 @@ class TestAnalyze:
         assert out == ""
         assert "alpha" in err
 
+    def test_tiny_alpha_is_accepted(self, capsys, score_file):
+        code, out, err = run(
+            capsys,
+            "analyze", "--file", str(score_file), "--format", "TWO_VOICE",
+            "--world", "fux", "--alpha", "1e-300", "--output", "JSON",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["effect_size"]["alpha"] == 1e-300
+
     @pytest.mark.parametrize("alpha", ["0.1_0", "\u0661e-1", "+0.1"])
     def test_alpha_follows_the_score_integer_rule(self, capsys, score_file, alpha):
         code, out, err = run(

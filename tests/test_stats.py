@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from statistics import NormalDist
 
 import pytest
 from hypothesis import given
@@ -122,6 +123,10 @@ class TestNormalQuantile:
         cdf = 0.5 * math.erfc(-z / math.sqrt(2))
         assert abs(cdf - p) < 1e-9
 
+    @given(p=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    def test_finite_on_the_whole_open_interval(self, p):
+        assert math.isfinite(normal_quantile(p))
+
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
@@ -184,6 +189,14 @@ class TestEffectSize:
         assert pop.sd == 0
         with pytest.raises(DegeneratePopulation):
             effect_size(sample_summary([3] * 10, pop.support), pop)
+
+    @pytest.mark.parametrize("alpha", [1e-3, 1e-6, 1e-10, 1e-14, 1e-300, 1e-323])
+    def test_small_alpha_matches_normal_dist(self, alpha):
+        pop = PopulationSpec.from_histogram(FUX_HISTOGRAM)
+        z = effect_size(sample_summary([2] * 30, pop.support), pop, alpha).z
+        # Below alpha/2 = 1e-306 normal_quantile's rational approximation stands unrefined.
+        rel = 1e-12 if alpha >= 1e-300 else 1e-8
+        assert math.isclose(z, -NormalDist().inv_cdf(alpha / 2), rel_tol=rel)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan")])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
