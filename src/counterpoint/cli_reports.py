@@ -26,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+from decimal import ROUND_UP, Decimal
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
@@ -125,6 +126,16 @@ def _f4(x) -> str:
 def _fp(p: float) -> str:
     """p-values: 4 decimals, switching to scientific below 1e-4."""
     return f"{p:.4e}" if 0 < p < 1e-4 else f"{p:.4f}"
+
+
+def _ci_level(alpha: float) -> str:
+    """100(1 - alpha) in as many decimals as it has, rounded down at 12 decimals.
+
+    ``alpha`` is read as the decimal it prints as, so 0.05 gives ``95``,
+    0.001 ``99.9`` and 1e-300 ``99.999999999999``, never ``100``.
+    """
+    miss = (100 * Decimal(repr(alpha))).quantize(Decimal("1e-12"), rounding=ROUND_UP)
+    return f"{(100 - miss).normalize():f}"
 
 
 def _frac(x: Fraction) -> str:
@@ -258,7 +269,7 @@ def cmd_analyze(args) -> dict:
             f"(divisor {sample.divisor.value})",
             f"population mean: {_f4(pop.mean)}  sd: {_f4(pop.sd)}",
             f"effect size d: {_f4(effect.d)}  "
-            f"{100 * (1 - effect.alpha):.0f}% CI: [{_f4(effect.ci_low)}, {_f4(effect.ci_high)}]  "
+            f"{_ci_level(effect.alpha)}% CI: [{_f4(effect.ci_low)}, {_f4(effect.ci_high)}]  "
             f"(z = {_f4(effect.z)})",
             f"chi-square: {_f4(chi.statistic)} (df {chi.df}, {corr})  p-value: {_fp(chi.p_value)}",
         ],

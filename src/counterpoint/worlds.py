@@ -40,12 +40,20 @@ preimage of eta has interval part back in the source species S.
 
 So a count depends only on the translation class (k, d, l) with d = y - x,
 and every world is built from its n^3 class table T[k][d][l] =
-count(0+ek -> d+el), computed from the n source intervals 0+ek, and
-expanded to the n^2 x n^2 count matrix.  The pull-back of a symmetry
-(a, b, 0, t) is (a^-1, -a^-2 b, 0, -a^-1 t).  Each slab of the class table
-is summed from species rows: a pull-back (a, b, t) adds, at cantus offset y,
-the row R_a[(b*y + t) mod n] whose byte lane l says whether
-a*l + (b*y + t) lies in the species.
+count(0+ek -> d+el) and expanded to the n^2 x n^2 count matrix.  The
+pull-back of a symmetry (a, b, 0, t) is (a^-1, -a^-2 b, 0, -a^-1 t).  The
+slab of a marked source 0+ek is summed from species rows: a pull-back
+(a, b, t) adds, at cantus offset y, the row R_a[(b*y + t) mod n] whose byte
+lane l says whether a*l + (b*y + t) lies in the species.
+
+Only the n/2 marked sources are solved.  Conjugating by the local polarity
+at cantus 0, P(c + em) = vc + e(vm + u), preserves C2, C1 and C3 and the
+pull-back count, so T[vk + u][v*d][v*l + u] = T[k][d][l]: the slab of the
+unmarked source 0+e(vk + u) is slab k with block d moved to v*d and lane l
+to v*l + u.  Each count-matrix row is a rotation of one slab, so the
+histogram is n times that of the class table.  ``counterpoint_symmetries``
+and ``step_count`` still solve every source directly, as an independent
+recount of the table.
 
 Every build is gated: the Fuxian world is computed by this engine and must
 reproduce its frozen histogram, worked steps and maximum; the mystic world's
@@ -62,6 +70,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
+from operator import itemgetter
 from typing import List, Optional, Sequence
 
 from .dichotomies import (
@@ -157,26 +166,26 @@ def _c2_solutions(n: int, v: int) -> list:
     return solutions
 
 
-def _symmetry_parts(d: Dichotomy, k: int) -> list:
+def _symmetry_parts(d: Dichotomy, k: int, solutions: list) -> list:
     """(a, b, t) of every symmetry (a, b, 0, t) of 0+ek, ascending.
 
     At cantus 0, C2 and C1 do not involve b, so each unit's passing
-    translations are found once, scored once per divisor g of n from
+    translations are found once, from ``solutions`` = :func:`_c2_solutions`
+    of the polarity's v, scored once per divisor g of n from
     :func:`_c3_scores` of k's species, and the best (a, g, t) are expanded
     to every b with gcd(b, n) = g.
     """
-    p = _polarity_or_raise(d)
+    u = _polarity_or_raise(d).u
     n = d.modulus.n
     species = _species(d, k)
     opposite = d.complement() if species is d.half else d.half
-    solutions = _c2_solutions(n, p.v)
     best_score = -1
     best: List[tuple] = []
     for a, by_g in _c3_scores(d.modulus, species).items():
         ai = pow(a, -1, n)
         # C2: t(1 - v) = u(1 - a); C1: a^-1(k - t), the interval part of
         # g^-1(0+ek), lies in the opposite species.
-        ts = [t for t in solutions[p.u * (1 - a) % n] if ai * (k - t) % n in opposite]
+        ts = [t for t in solutions[u * (1 - a) % n] if ai * (k - t) % n in opposite]
         for g, cosets in by_g.items():
             for t in ts:
                 score = cosets[t % g]
@@ -203,11 +212,10 @@ def counterpoint_symmetries(d: Dichotomy, xi: DualNumber) -> list:
         raise ModulusMismatch("interval and dichotomy moduli differ")
     m = d.modulus
     n, x = m.n, xi.a
+    parts = _symmetry_parts(d, xi.b, _c2_solutions(n, _polarity_or_raise(d).v))
     return [
         DualAffineMap(a, b, s, t, m)
-        for a, b, s, t in sorted(
-            (a, b, x * (1 - a) % n, (t - b * x) % n) for a, b, t in _symmetry_parts(d, xi.b)
-        )
+        for a, b, s, t in sorted((a, b, x * (1 - a) % n, (t - b * x) % n) for a, b, t in parts)
     ]
 
 
@@ -306,18 +314,21 @@ def score_against_world(seq, world: World) -> List[int]:
     return [rows[n * a.a + a.b][n * b.a + b.b] for a, b in seq.steps]
 
 
-def _histogram(counts: Sequence[bytes], pad_to: int) -> dict:
-    """Frequency of every count from 0 up to the largest one (at least pad_to).
+def _histogram(slabs: Sequence[bytes], n: int, pad_to: int) -> dict:
+    """Step-count frequencies of the world with class table ``slabs``.
 
-    Counts upward until the counted mass is every cell, so the largest
-    count is the last bin with mass and needs no scan of its own.
+    Every count-matrix row is a rotation of one slab, so each bin is n
+    times the class table's.  Bins run from 0 up to the largest count (at
+    least pad_to); counting stops once every cell is counted, so the
+    largest count is the last bin with mass and needs no scan of its own.
     """
-    flat = b"".join(counts)
+    flat = b"".join(slabs)
     histogram = {}
     mass = c = 0
     while mass < len(flat) or c <= pad_to:
-        histogram[c] = flat.count(c)
-        mass += histogram[c]
+        cells = flat.count(c)
+        histogram[c] = n * cells
+        mass += cells
         c += 1
     return histogram
 
@@ -325,32 +336,43 @@ def _histogram(counts: Sequence[bytes], pad_to: int) -> dict:
 def _engine_class_table(d: Dichotomy) -> tuple:
     """Slab k holds T[k][n*d + l] = count(0+ek -> d+el) as n^2 bytes.
 
-    Block y of slab k is a sum of species rows: pull-back (a, b, t) carries
-    y+el into the species iff a*l + c does, with c = (b*y + t) mod n, so it
-    adds R_a[c], whose byte lane l is that indicator.  Rows are added as
-    integers, one byte lane per l; a lane cannot carry past 255 pull-backs.
+    Only the n/2 marked sources are solved.  Block y of marked slab k is a
+    sum of species rows: pull-back (a, b, t) carries y+el into the species
+    iff a*l + c does, with c = (b*y + t) mod n, so it adds R_a[c], whose
+    byte lane l is that indicator.  Rows are added as integers, one byte
+    lane per l; a lane cannot carry past 255 pull-backs.
+
+    Conjugating by the local polarity P(c + em) = vc + e(vm + u) at cantus
+    0 preserves C2, C1 and C3 and the pull-back count, so
+    T[vk + u][v*d][v*l + u] = T[k][d][l]: the unmarked slab vk + u is slab k
+    with block d moved to v*d and lane l to v*l + u.
     """
-    n = d.modulus.n
+    p = _polarity_or_raise(d)
+    n, u, v = d.modulus.n, p.u, p.v
+    half = d.half
     inverse = {a: pow(a, -1, n) for a in d.modulus.units()}
-    rows_by_species = {}
-    for species in (d.half, d.complement()):
-        species_rows = rows_by_species[species] = {}
-        for a, ai in inverse.items():
-            # a*l + c = a*(l + r) with r = c/a, so R_a[c] is R_a[0] rotated by r lanes.
-            lanes = bytes((a * l) % n in species for l in range(n)) * 2
-            species_rows[a] = [int.from_bytes(lanes[ai * c % n:][:n], "big") for c in range(n)]
-    slabs = []
-    for k in range(n):
-        species_rows = rows_by_species[_species(d, k)]
-        parts = _symmetry_parts(d, k)
+    rows = {}
+    for a, ai in inverse.items():
+        # a*l + c = a*(l + r) with r = c/a, so R_a[c] is R_a[0] rotated by r lanes.
+        lanes = bytes((a * l) % n in half for l in range(n)) * 2
+        rows[a] = [int.from_bytes(lanes[ai * c % n:][:n], "big") for c in range(n)]
+    solutions = _c2_solutions(n, v)
+    # Cell (v*y, v*l + u) of a polarity image reads cell (y, l) of its source.
+    vi = pow(v, -1, n)
+    lanes = [vi * (l - u) % n for l in range(n)]
+    image = itemgetter(*[n * (vi * y % n) + l for y in range(n) for l in lanes])
+    slabs = [b""] * n
+    for k in sorted(half):
+        parts = _symmetry_parts(d, k, solutions)
         if len(parts) > 255:
             raise ValueError(f"{len(parts)} pull-backs of 0+e{k} overflow a byte count")
         # g = (a, b, 0, t) has g^-1 = (a^-1, -a^-2 b, 0, -a^-1 t).
         pulls = [(inverse[a], -inverse[a] ** 2 * b % n, -inverse[a] * t % n) for a, b, t in parts]
-        slabs.append(b"".join(
-            sum(species_rows[a][(b * y + t) % n] for a, b, t in pulls).to_bytes(n, "big")
+        slab = slabs[k] = b"".join(
+            sum(rows[a][(b * y + t) % n] for a, b, t in pulls).to_bytes(n, "big")
             for y in range(n)
-        ))
+        )
+        slabs[(v * k + u) % n] = bytes(image(slab))
     return tuple(slabs)
 
 
@@ -407,7 +429,7 @@ def build_world(d: Dichotomy) -> World:
         slabs = _engine_class_table(d)
     counts = _expand(slabs, n)
     expected = EXPECTED_STEP_HISTOGRAMS.get(label)
-    histogram = _histogram(counts, pad_to=max(expected) if expected else 0)
+    histogram = _histogram(slabs, n, pad_to=max(expected) if expected else 0)
     if expected:
         _gate(label, n, counts, histogram)
     return World(d, label, variant, counts, histogram)

@@ -289,6 +289,20 @@ class TestAnalyze:
         assert (code, err) == (0, "")
         assert json.loads(out)["effect_size"]["alpha"] == 1e-300
 
+    @pytest.mark.parametrize(
+        "alpha, label",
+        [("0.1", "90"), ("0.05", "95"), ("0.075", "92.5"), ("0.004", "99.6"),
+         ("0.001", "99.9"), ("1e-300", "99.999999999999")],
+    )
+    def test_ci_label_tells_a_small_alpha_from_certainty(self, capsys, score_file, alpha, label):
+        code, out, err = run(
+            capsys,
+            "analyze", "--file", str(score_file), "--format", "TWO_VOICE",
+            "--world", "fux", "--alpha", alpha,
+        )
+        assert (code, err) == (0, "")
+        assert f"  {label}% CI: [" in out
+
     @pytest.mark.parametrize("alpha", ["0.1_0", "\u0661e-1", "+0.1"])
     def test_alpha_follows_the_score_integer_rule(self, capsys, score_file, alpha):
         code, out, err = run(

@@ -2,10 +2,18 @@
 
 The reference scans every translation t for C2, sums each candidate's C3
 overlap score over all n cantus positions, and fills each class-table cell
-by counting pull-backs one by one.  The engine solves cantus 0 only (C2
-from a residue lookup, C3 scores from the gcd closed form), reaches every
-other cantus by conjugating with a translation, and sums slabs from species
-rows; both must give the same symmetries and the same bytes.
+by counting pull-backs one by one, for every one of the n sources 0+ek.
+The engine solves cantus 0 only (C2 from a residue lookup, C3 scores from
+the gcd closed form), reaches every other cantus by conjugating with a
+translation, and sums slabs from species rows for the n/2 marked sources
+only.  The other n/2 slabs it gets from the polarity identity
+T[vk + u][v*d][v*l + u] = T[k][d][l] of the polarity e^u.v: slab vk + u is
+slab k with block d moved to v*d and lane l to v*l + u.  Both must give the
+same symmetries and the same bytes, so the byte comparison checks every
+derived slab against a directly solved one.  The identity itself is checked
+on the symmetries, on the reference tables and on the built worlds, for the
+canonical strong classes and for seeded affine images of them, whose
+polarities differ from their representatives'.
 """
 
 import random
@@ -19,10 +27,13 @@ from counterpoint import (
     DualAffineMap,
     DualNumber,
     Modulus,
+    build_world,
     counterpoint_symmetries,
+    local_polarity,
     strong_atlas,
 )
 from counterpoint import worlds
+from counterpoint.model_tables import mystic_class_count
 
 
 def overlap_rows(modulus: Modulus, species: frozenset) -> dict:
@@ -39,6 +50,31 @@ def strong_dichotomies(n: int) -> tuple:
     modulus = Modulus(n)
     return tuple(
         Dichotomy(frozenset(c.canonical_representative), modulus) for c in strong_atlas(modulus)
+    )
+
+
+@lru_cache(maxsize=None)
+def affine_images(n: int) -> tuple:
+    """A seeded affine image a*K + b of every strong class at modulus n."""
+    modulus = Modulus(n)
+    rng = random.Random(n)
+    images = []
+    for d in strong_dichotomies(n):
+        a, b = rng.choice(modulus.units()), rng.randrange(n)
+        images.append(Dichotomy(frozenset((a * x + b) % n for x in d.half), modulus))
+    return tuple(images)
+
+
+def polarity_breaks(count, d: Dichotomy) -> int:
+    """Classes (k, d, l) whose count(k, d, l) differs from that of (vk + u, v*d, v*l + u)."""
+    p = worlds._polarity_or_raise(d)
+    n, u, v = d.modulus.n, p.u, p.v
+    return sum(
+        1
+        for k in range(n)
+        for dd in range(n)
+        for l in range(n)
+        if count((v * k + u) % n, v * dd % n, (v * l + u) % n) != count(k, dd, l)
     )
 
 
@@ -118,8 +154,75 @@ def test_symmetries_are_translation_covariant(n):
 
 @pytest.mark.parametrize("n", (6, 8, 10, 12, 14))
 def test_class_table_is_byte_identical_to_the_reference(n):
-    for d in strong_dichotomies(n):
+    images = affine_images(n) if n in (10, 12, 14) else ()
+    for d in strong_dichotomies(n) + images:
         assert worlds._engine_class_table(d) == reference_class_table(d)
+
+
+def test_affine_images_move_the_polarity():
+    """The images exercise polarities e^u.v other than the representatives' own."""
+    for n in range(10, 17, 2):
+        pairs = zip(strong_dichotomies(n), affine_images(n))
+        assert any(worlds._polarity_or_raise(d) != worlds._polarity_or_raise(i) for d, i in pairs)
+    assert {worlds._polarity_or_raise(d).render() for d in (Dichotomy.fux(), Dichotomy.mystic())} == {
+        "e^2.5", "e^9.11"
+    }
+
+
+@pytest.mark.parametrize("n", range(6, 17, 2))
+def test_polarity_conjugates_the_symmetries_of_0_ek_onto_those_of_its_image(n):
+    """P g P^-1 runs over the symmetries of 0+e(vk+u) as g runs over those of 0+ek."""
+    modulus = Modulus(n)
+    for d in strong_dichotomies(n) + affine_images(n):
+        p = worlds._polarity_or_raise(d)
+        polarity = local_polarity(d, 0)
+        back = polarity.invert()
+        for k in range(n):
+            image = DualNumber(0, p.v * k + p.u, modulus)
+            conjugated = sorted(
+                polarity.compose(g).compose(back)
+                for g in counterpoint_symmetries(d, DualNumber(0, k, modulus))
+            )
+            assert counterpoint_symmetries(d, image) == conjugated
+
+
+@pytest.mark.parametrize("n", range(6, 17, 2))
+def test_class_tables_satisfy_the_polarity_identity(n):
+    """T[vk + u][v*d][v*l + u] = T[k][d][l] on the reference table and on the built world."""
+    for d in strong_dichotomies(n) + affine_images(n):
+        reference, world = reference_class_table(d), build_world(d)
+        assert polarity_breaks(lambda k, dd, l: reference[k][n * dd + l], d) == 0
+        assert polarity_breaks(lambda k, dd, l: world.count_at(0, k, dd, l), d) == 0
+
+
+@pytest.mark.parametrize("n", (6, 8, 10, 12, 14))
+def test_class_tables_are_invariant_under_unit_multiples_of_d(n):
+    """T[k][w*d][l] = T[k][d][l] for every unit w.
+
+    Each best (a, g, t) takes every b with gcd(b, n) = g, a set closed under
+    units.  So the polarity identity's block move d -> v*d changes no byte,
+    and the byte comparisons test only its lane move l -> v*l + u.
+    """
+    for d in strong_dichotomies(n) + affine_images(n):
+        table = reference_class_table(d)
+        for w in Modulus(n).units():
+            moved = tuple(
+                bytes(slab[n * (w * dd % n) + l] for dd in range(n) for l in range(n))
+                for slab in table
+            )
+            assert moved == table
+
+
+def test_only_the_frozen_mystic_table_breaks_the_polarity_identity():
+    """The fitted mystic table breaks the identity in 700 of its 1728 classes; fux in none."""
+    fux, mystic = Dichotomy.fux(), Dichotomy.mystic()
+    fux_world = build_world(fux)
+    assert polarity_breaks(lambda k, dd, l: fux_world.count_at(0, k, dd, l), fux) == 0
+    assert polarity_breaks(mystic_class_count, mystic) == 700
+    mystic_world = build_world(mystic)
+    assert polarity_breaks(lambda k, dd, l: mystic_world.count_at(0, k, dd, l), mystic) == 700
+    engine = worlds._engine_class_table(mystic)
+    assert polarity_breaks(lambda k, dd, l: engine[k][12 * dd + l], mystic) == 0
 
 
 @pytest.mark.parametrize("n", range(6, 17, 2))
