@@ -277,6 +277,7 @@ def _lower_gamma_series(a: float, z: float) -> float:
             break
     return total * math.exp(-z + a * math.log(z) - math.lgamma(a))
 
+
 def _upper_gamma_cf(a: float, z: float) -> float:
     """Regularized upper incomplete gamma Q(a, z) by Lentz continued fraction."""
     tiny = 1e-300

@@ -20,15 +20,16 @@ S (the marked half K if k is marked, else the complement D):
   * C3 (maximality): |g(S[eps]) cap S[eps]| is maximal among candidates
     passing C1 and C2.
 
-The engine solves cantus 0 only.  There s = 0, and C2 and C1 do not
-depend on b: C2 reads t(1 - v) = u(1 - a) and is solved for t by a
-residue -> solutions lookup, and C1 asks a^-1(k - t) to lie in the opposite
-species, so each unit a's passing translations are found once.  The C3
-score of a candidate is sum_y J[a][(b*y + t) mod n] with
-J[a][w] = |(a*S + w) cap S|; as y -> b*y covers the multiples of
-g = gcd(b, n) g times each, it equals g * sum_{j < n/g} J[a][(t mod g) + j*g],
-so each passing t is scored once per divisor g of n and the best (a, g, t)
-expand to every b with gcd(b, n) = g.
+The engine solves cantus 0 only.  There s = 0, and no filter depends on b:
+C2 reads t(1 - v) = u(1 - a) and is solved for t by a residue -> solutions
+lookup, and C1 asks a^-1(k - t) to lie in the opposite species O, that is
+k in t + a*O.  The C3 score of a candidate is sum_y J[a][(b*y + t) mod n]
+with J[a][w] = |(a*S + w) cap S|; as y -> b*y covers the multiples of
+g = gcd(b, n) g times each, it equals g * sum_{j < n/g} J[a][(t mod g) + j*g].
+Neither C2 nor C3 involves k, so the candidates (a, g, t) of a species are
+ranked once, from the best down, and each goes to the sources k in t + a*O
+that no better candidate has taken.  The best (a, g, t) of a source expand
+to every b with gcd(b, n) = g.
 
 Every other cantus is reached by conjugating with the translation by x,
 which carries the fiber pool, the transported polarity and both species
@@ -41,19 +42,20 @@ preimage of eta has interval part back in the source species S.
 So a count depends only on the translation class (k, d, l) with d = y - x,
 and every world is built from its n^3 class table T[k][d][l] =
 count(0+ek -> d+el) and expanded to the n^2 x n^2 count matrix.  The
-pull-back of a symmetry (a, b, 0, t) is (a^-1, -a^-2 b, 0, -a^-1 t).  The
-slab of a marked source 0+ek is summed from species rows: a pull-back
-(a, b, t) adds, at cantus offset y, the row R_a[(b*y + t) mod n] whose byte
-lane l says whether a*l + (b*y + t) lies in the species.
+symmetry (a, b, 0, t) maps a^-1*y + em to y + e(a*m + b*y/a + t), and b/a
+runs over the same b as b does, so block y of a marked source's slab is
+summed from species rows: each symmetry adds R_a[(b*y + t) mod n], whose
+byte lane l says whether l lies in a*S + (b*y + t).  Block y depends only
+on gcd(y, n), so one block is summed per divisor of n.
 
 Only the n/2 marked sources are solved.  Conjugating by the local polarity
 at cantus 0, P(c + em) = vc + e(vm + u), preserves C2, C1 and C3 and the
-pull-back count, so T[vk + u][v*d][v*l + u] = T[k][d][l]: the slab of the
-unmarked source 0+e(vk + u) is slab k with block d moved to v*d and lane l
-to v*l + u.  Each count-matrix row is a rotation of one slab, so the
-histogram is n times that of the class table.  ``counterpoint_symmetries``
-and ``step_count`` still solve every source directly, as an independent
-recount of the table.
+pull-back count, so T[vk + u][v*d][v*l + u] = T[k][d][l]; as block v*d is
+block d, the slab of the unmarked source 0+e(vk + u) is slab k with lane l
+of each distinct block moved to v*l + u.  Each count-matrix row is a
+rotation of one slab, so the histogram is n times that of the class table.
+``counterpoint_symmetries`` and ``step_count`` rank the source's own
+species, marked or not, as an independent recount of the table.
 
 Every build is gated: the Fuxian world is computed by this engine and must
 reproduce its frozen histogram, worked steps and maximum; the mystic world's
@@ -166,37 +168,37 @@ def _c2_solutions(n: int, v: int) -> list:
     return solutions
 
 
-def _symmetry_parts(d: Dichotomy, k: int, solutions: list) -> list:
-    """(a, b, t) of every symmetry (a, b, 0, t) of 0+ek, ascending.
+def _species_parts(d: Dichotomy, species: frozenset, solutions: list) -> dict:
+    """k -> (a, b, t) of every symmetry (a, b, 0, t) of 0+ek, ascending, for k in species.
 
-    At cantus 0, C2 and C1 do not involve b, so each unit's passing
-    translations are found once, from ``solutions`` = :func:`_c2_solutions`
-    of the polarity's v, scored once per divisor g of n from
-    :func:`_c3_scores` of k's species, and the best (a, g, t) are expanded
-    to every b with gcd(b, n) = g.
+    The candidates (a, g, t), t from ``solutions`` (:func:`_c2_solutions` of
+    the polarity's v) and scored by :func:`_c3_scores`, do not depend on k,
+    so they are ranked once and walked from the best down: each goes to the
+    k in t + a*O (C1, with O the opposite species) that no better candidate
+    has taken.  A source that no candidate reaches gets an empty list.
     """
     u = _polarity_or_raise(d).u
     n = d.modulus.n
-    species = _species(d, k)
-    opposite = d.complement() if species is d.half else d.half
-    best_score = -1
-    best: List[tuple] = []
+    opposite = d.complement() if species == d.half else d.half
+    ranks: dict = {}
     for a, by_g in _c3_scores(d.modulus, species).items():
-        ai = pow(a, -1, n)
-        # C2: t(1 - v) = u(1 - a); C1: a^-1(k - t), the interval part of
-        # g^-1(0+ek), lies in the opposite species.
-        ts = [t for t in solutions[u * (1 - a) % n] if ai * (k - t) % n in opposite]
-        for g, cosets in by_g.items():
-            for t in ts:
-                score = cosets[t % g]
-                if score > best_score:
-                    best_score = score
-                    best = [(a, g, t)]
-                elif score == best_score:
-                    best.append((a, g, t))
-    return sorted(
-        (a, b, t) for a, g, t in best for b in range(0, n, g) if gcd(b, n) == g
-    )
+        scaled = [a * m for m in opposite]
+        for t in solutions[u * (1 - a) % n]:
+            sources = species.intersection([(t + m) % n for m in scaled])
+            for g, cosets in by_g.items():
+                ranks.setdefault(cosets[t % g], []).append((a, g, t, sources))
+    best = {k: [] for k in species}
+    left = set(species)
+    for score in sorted(ranks, reverse=True):
+        taken = set()
+        for a, g, t, sources in ranks[score]:
+            for k in sources & left:
+                best[k] += [(a, b, t) for b in range(0, n, g) if gcd(b, n) == g]
+                taken.add(k)
+        left -= taken
+        if not left:
+            break
+    return {k: sorted(found) for k, found in best.items()}
 
 
 def counterpoint_symmetries(d: Dichotomy, xi: DualNumber) -> list:
@@ -212,7 +214,8 @@ def counterpoint_symmetries(d: Dichotomy, xi: DualNumber) -> list:
         raise ModulusMismatch("interval and dichotomy moduli differ")
     m = d.modulus
     n, x = m.n, xi.a
-    parts = _symmetry_parts(d, xi.b, _c2_solutions(n, _polarity_or_raise(d).v))
+    solutions = _c2_solutions(n, _polarity_or_raise(d).v)
+    parts = _species_parts(d, _species(d, xi.b), solutions)[xi.b]
     return [
         DualAffineMap(a, b, s, t, m)
         for a, b, s, t in sorted((a, b, x * (1 - a) % n, (t - b * x) % n) for a, b, t in parts)
@@ -336,43 +339,46 @@ def _histogram(slabs: Sequence[bytes], n: int, pad_to: int) -> dict:
 def _engine_class_table(d: Dichotomy) -> tuple:
     """Slab k holds T[k][n*d + l] = count(0+ek -> d+el) as n^2 bytes.
 
-    Only the n/2 marked sources are solved.  Block y of marked slab k is a
-    sum of species rows: pull-back (a, b, t) carries y+el into the species
-    iff a*l + c does, with c = (b*y + t) mod n, so it adds R_a[c], whose
-    byte lane l is that indicator.  Rows are added as integers, one byte
-    lane per l; a lane cannot carry past 255 pull-backs.
+    The n/2 marked sources share one ranking of their species S
+    (:func:`_species_parts`).  Block y of marked slab k adds, for each
+    symmetry (a, b, 0, t), the row R_a[(b*y + t) mod n], whose byte lane l
+    says whether l lies in a*S + (b*y + t) (see the module docstring).
+    R_a[c] is a shift of one integer per unit a read, the lanes of a*S
+    twice over.  Rows are added as integers, one byte lane per l; a lane
+    cannot carry past 255 pull-backs.  Block y equals block gcd(y, n)
+    (T[k][w*y][l] = T[k][y][l] for every unit w), so only the blocks y = g
+    for the divisors g of n are summed, block n standing for block 0.
 
-    Conjugating by the local polarity P(c + em) = vc + e(vm + u) at cantus
-    0 preserves C2, C1 and C3 and the pull-back count, so
-    T[vk + u][v*d][v*l + u] = T[k][d][l]: the unmarked slab vk + u is slab k
-    with block d moved to v*d and lane l to v*l + u.
+    The polarity identity T[vk + u][v*d][v*l + u] = T[k][d][l] with block
+    v*d equal to block d makes the unmarked slab vk + u slab k with the
+    lanes of each distinct block moved, l -> v*l + u.
     """
     p = _polarity_or_raise(d)
     n, u, v = d.modulus.n, p.u, p.v
     half = d.half
-    inverse = {a: pow(a, -1, n) for a in d.modulus.units()}
-    rows = {}
-    for a, ai in inverse.items():
-        # a*l + c = a*(l + r) with r = c/a, so R_a[c] is R_a[0] rotated by r lanes.
-        lanes = bytes((a * l) % n in half for l in range(n)) * 2
-        rows[a] = [int.from_bytes(lanes[ai * c % n:][:n], "big") for c in range(n)]
-    solutions = _c2_solutions(n, v)
-    # Cell (v*y, v*l + u) of a polarity image reads cell (y, l) of its source.
+    divisors = [g for g in range(1, n + 1) if n % g == 0]
+    layout = itemgetter(*[gcd(y, n) for y in range(n)])
+    # Lane v*l + u of a polarity image reads lane l of its source.
     vi = pow(v, -1, n)
-    lanes = [vi * (l - u) % n for l in range(n)]
-    image = itemgetter(*[n * (vi * y % n) + l for y in range(n) for l in lanes])
+    lanes = itemgetter(*[vi * (l - u) % n for l in range(n)])
+    # R_a[c] is the low n lanes of spread[a] shifted right by c lanes.
+    full = (1 << 8 * n) - 1
+    by_source = _species_parts(d, half, _c2_solutions(n, v))
+    spread = {
+        a: sum(1 << 8 * (n - 1 - a * m % n) for m in half) * (full + 2)
+        for a in {a for parts in by_source.values() for a, _, _ in parts}
+    }
     slabs = [b""] * n
-    for k in sorted(half):
-        parts = _symmetry_parts(d, k, solutions)
+    for k, parts in by_source.items():
         if len(parts) > 255:
             raise ValueError(f"{len(parts)} pull-backs of 0+e{k} overflow a byte count")
-        # g = (a, b, 0, t) has g^-1 = (a^-1, -a^-2 b, 0, -a^-1 t).
-        pulls = [(inverse[a], -inverse[a] ** 2 * b % n, -inverse[a] * t % n) for a, b, t in parts]
-        slab = slabs[k] = b"".join(
-            sum(rows[a][(b * y + t) % n] for a, b, t in pulls).to_bytes(n, "big")
-            for y in range(n)
-        )
-        slabs[(v * k + u) % n] = bytes(image(slab))
+        blocks = {}
+        for g in divisors:
+            total = sum(spread[a] >> 8 * ((b * g + t) % n) & full for a, b, t in parts)
+            blocks[g] = total.to_bytes(n, "big")
+        slabs[k] = b"".join(layout(blocks))
+        images = {g: bytes(lanes(block)) for g, block in blocks.items()}
+        slabs[(v * k + u) % n] = b"".join(layout(images))
     return tuple(slabs)
 
 

@@ -4,16 +4,18 @@ The reference scans every translation t for C2, sums each candidate's C3
 overlap score over all n cantus positions, and fills each class-table cell
 by counting pull-backs one by one, for every one of the n sources 0+ek.
 The engine solves cantus 0 only (C2 from a residue lookup, C3 scores from
-the gcd closed form), reaches every other cantus by conjugating with a
-translation, and sums slabs from species rows for the n/2 marked sources
-only.  The other n/2 slabs it gets from the polarity identity
-T[vk + u][v*d][v*l + u] = T[k][d][l] of the polarity e^u.v: slab vk + u is
-slab k with block d moved to v*d and lane l to v*l + u.  Both must give the
-same symmetries and the same bytes, so the byte comparison checks every
-derived slab against a directly solved one.  The identity itself is checked
-on the symmetries, on the reference tables and on the built worlds, for the
-canonical strong classes and for seeded affine images of them, whose
-polarities differ from their representatives'.
+the gcd closed form, every candidate ranked once per species and handed to
+the sources its C1 admits), reaches every other cantus by conjugating with
+a translation, and sums slabs from species rows for the n/2 marked sources
+only, one block per divisor g of n: block d is block gcd(d, n).  The other
+n/2 slabs it gets from the polarity identity T[vk + u][v*d][v*l + u] =
+T[k][d][l] of the polarity e^u.v: slab vk + u is slab k with lane l of each
+block moved to v*l + u.  Both must give the same symmetries and the same
+bytes, so the byte comparison checks every derived block and slab against a
+directly solved one.  The identity itself is checked on the symmetries, on
+the reference tables and on the built worlds, for the canonical strong
+classes and for seeded affine images of them, whose polarities differ from
+their representatives'.
 """
 
 import random
@@ -130,6 +132,17 @@ def test_symmetries_match_the_reference_at_every_interval(n):
                 assert counterpoint_symmetries(d, xi) == reference_symmetries(d, xi)
 
 
+@pytest.mark.parametrize("n", (6, 8, 10, 12))
+def test_symmetries_match_the_reference_on_the_affine_images(n):
+    """The images carry polarities other than their representatives' own."""
+    modulus = Modulus(n)
+    for d in affine_images(n):
+        for x in range(n):
+            for k in range(n):
+                xi = DualNumber(x, k, modulus)
+                assert counterpoint_symmetries(d, xi) == reference_symmetries(d, xi)
+
+
 def test_symmetries_match_the_reference_on_a_seeded_sample_at_n14():
     modulus = Modulus(14)
     rng = random.Random(1414)
@@ -152,10 +165,9 @@ def test_symmetries_are_translation_covariant(n):
                 assert counterpoint_symmetries(d, DualNumber(x, k, modulus)) == conjugated
 
 
-@pytest.mark.parametrize("n", (6, 8, 10, 12, 14))
+@pytest.mark.parametrize("n", range(6, 17, 2))
 def test_class_table_is_byte_identical_to_the_reference(n):
-    images = affine_images(n) if n in (10, 12, 14) else ()
-    for d in strong_dichotomies(n) + images:
+    for d in strong_dichotomies(n) + affine_images(n):
         assert worlds._engine_class_table(d) == reference_class_table(d)
 
 
@@ -250,7 +262,19 @@ def test_c2_solutions_are_every_t_solving_the_congruence():
                 assert solutions[r] == [t for t in range(n) if t * (1 - v) % n == r]
 
 
+def test_a_source_that_no_candidate_reaches_has_no_symmetries(monkeypatch):
+    """No strong class at n <= 16 has such a source; with no C2 solution every source is one."""
+    d = Dichotomy.fux()
+    assert worlds._species_parts(d, d.half, [[] for _ in range(12)]) == {k: [] for k in d.half}
+    monkeypatch.setattr(worlds, "_c2_solutions", lambda n, v: [[] for _ in range(n)])
+    assert worlds._engine_class_table(d) == (bytes(144),) * 12
+    assert counterpoint_symmetries(d, DualNumber(0, 0, d.modulus)) == []
+
+
 def test_more_than_255_pullbacks_is_refused_not_wrapped(monkeypatch):
-    monkeypatch.setattr(worlds, "_symmetry_parts", lambda *args: [(1, 0, 0)] * 256)
+    def overflowing(d, species, solutions):
+        return {k: [(1, d.modulus.n, 0)] * 256 for k in species}
+
+    monkeypatch.setattr(worlds, "_species_parts", overflowing)
     with pytest.raises(ValueError, match="256 pull-backs"):
         worlds._engine_class_table(Dichotomy.fux())
