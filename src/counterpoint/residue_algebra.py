@@ -52,7 +52,7 @@ class _Value:
     function per class, which each class's comparisons and hash close over;
     a one-field class builds its 1-tuple inline instead of calling a key.
     ``order=True`` adds the order of that tuple.  Each ``__init__`` sets the
-    fields through ``_set`` or ``_fill``.
+    fields through ``_set``, ``_fill`` or their slot descriptors.
     """
 
     __slots__ = ()

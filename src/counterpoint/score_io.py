@@ -11,8 +11,11 @@ Events map to dual intervals x + ek (cantus pc x, interval k mod 12);
 consecutive intervals form steps, optionally deduplicated when a step
 repeats its immediate predecessor.
 
-The chain parses each distinct beat spelling once per call and builds each
-distinct interval once per call.
+The chain streams the CSV rows, so only the events outlive their row.  It
+reads canonical note spellings from one table of the 128 MIDI numbers (any
+other goes to ``int``), parses each distinct beat spelling and builds each
+distinct interval once per call, and codes each step as one int of its two
+interval indices: dedup compares ints, and equal steps share one tuple.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ _HEADERS = {
     ScoreFormat.TWO_VOICE: ["measure", "beat", "cantus", "discant"],
     ScoreFormat.DRONE: ["measure", "beat", "pitch"],
 }
+_NOTES = {str(p): p for p in range(128)}  # canonical spelling -> MIDI pitch
 
 
 class ScoreEvent(_Value):
@@ -66,10 +70,16 @@ class ScoreEvent(_Value):
     def __init__(
         self, measure: int, beat: Fraction, cantus_pitch: Optional[int], pitch: int
     ) -> None:
-        _set(self, "measure", measure)
-        _set(self, "beat", beat)
-        _set(self, "cantus_pitch", cantus_pitch)
-        _set(self, "pitch", pitch)
+        _measure(self, measure)
+        _beat(self, beat)
+        _cantus_pitch(self, cantus_pitch)
+        _pitch(self, pitch)
+
+
+# The fields' slot descriptors, bound once: each write skips _Value.__setattr__.
+_measure, _beat, _cantus_pitch, _pitch = (
+    getattr(ScoreEvent, name).__set__ for name in ScoreEvent.__slots__
+)
 
 
 class FixedCantus(_Value):
@@ -117,50 +127,56 @@ def parse_score(text: str, fmt: ScoreFormat) -> List[ScoreEvent]:
 
     Each distinct beat spelling is parsed once per call into its Fraction
     and an ordering key: the int numerator when the beat is integral, the
-    Fraction otherwise, so integral stamps compare as ints.
+    Fraction otherwise, so integral stamps compare as ints.  A field over
+    ``csv.field_size_limit()`` is a ParseError on the line the reader stopped at.
     """
     header = _HEADERS[fmt]
     reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows:
-        raise ParseError(1, "empty input")
-    if rows[0] != header:
-        raise ParseError(1, f"header must be {','.join(header)!r}, got {','.join(rows[0])!r}")
     two_voice = fmt is ScoreFormat.TWO_VOICE
     plain = _plain(text)
     beats = {}  # spelling -> (Fraction, ordering key)
     events: List[ScoreEvent] = []
-    previous = None
-    for index, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ParseError(index, f"expected {len(header)} fields, got {len(row)}")
-        if not (plain or _plain("".join(row))):
-            raise ParseError(index, f"non-ASCII, '+' or '_' in {','.join(row)!r}")
-        measure = _parse_int("measure", row[0], index, -(10 ** 9), 10 ** 9)
-        parsed = beats.get(row[1])
-        if parsed is None:
-            try:
-                beat = Fraction(row[1])
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(index, f"beat must be a decimal rational, got {row[1]!r}") from exc
-            parsed = beats[row[1]] = (beat, beat.numerator if beat.denominator == 1 else beat)
-        beat, key = parsed
-        if two_voice:
-            cantus: Optional[int] = _parse_int("cantus", row[2], index, 0, 127)
-            pitch = _parse_int("discant", row[3], index, 0, 127)
-        else:
-            cantus = None
-            pitch = _parse_int("pitch", row[2], index, 0, 127)
-        stamp = (measure, key)
-        if previous is not None and stamp <= previous:
-            raise OrderError(
-                f"line {index}: event at measure {measure} beat {beat} does not "
-                "advance (measure, beat)"
-            )
-        previous = stamp
-        events.append(ScoreEvent(measure, beat, cantus, pitch))
+    last_measure, last_key = -(10 ** 9) - 1, 0  # below every measure
+    note = _NOTES.get  # misses any other spelling, and 0 (falsy): _parse_int reads those
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise ParseError(1, "empty input")
+        if first != header:
+            raise ParseError(1, f"header must be {','.join(header)!r}, got {','.join(first)!r}")
+        for index, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(index, f"expected {len(header)} fields, got {len(row)}")
+            if not (plain or _plain("".join(row))):
+                raise ParseError(index, f"non-ASCII, '+' or '_' in {','.join(row)!r}")
+            measure = _parse_int("measure", row[0], index, -(10 ** 9), 10 ** 9)
+            parsed = beats.get(row[1])
+            if parsed is None:
+                try:
+                    beat = Fraction(row[1])
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise ParseError(
+                        index, f"beat must be a decimal rational, got {row[1]!r}"
+                    ) from exc
+                parsed = beats[row[1]] = (beat, beat.numerator if beat.denominator == 1 else beat)
+            beat, key = parsed
+            if two_voice:
+                cantus: Optional[int] = note(row[2]) or _parse_int("cantus", row[2], index, 0, 127)
+                pitch = note(row[3]) or _parse_int("discant", row[3], index, 0, 127)
+            else:
+                cantus = None
+                pitch = note(row[2]) or _parse_int("pitch", row[2], index, 0, 127)
+            if measure < last_measure or measure == last_measure and key <= last_key:
+                raise OrderError(
+                    f"line {index}: event at measure {measure} beat {beat} does not "
+                    "advance (measure, beat)"
+                )
+            last_measure, last_key = measure, key
+            events.append(ScoreEvent(measure, beat, cantus, pitch))
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, f"malformed CSV: {exc}") from exc
     return events
 
 
@@ -190,14 +206,15 @@ def extract_transitions(
             )
     else:
         raise ValueError(f"unknown cantus policy {policy!r}")
-    # One DualNumber per distinct interval index n*x + k, shared by every
-    # event with that interval; CONSECUTIVE dedup compares the int indices.
-    n = modulus.n
+    # One DualNumber per distinct interval index n*x + k, and one int n^2*i + j
+    # per step of indices i, j: CONSECUTIVE dedup compares ints, equal steps share a tuple.
+    n, span = modulus.n, modulus.n ** 2
     keys = [n * (c % n) + (event.pitch - c) % n for c, event in zip(cantus, events)]
     built = {key: DualNumber(key // n, key % n, modulus) for key in set(keys)}
-    pairs = list(zip(keys, keys[1:]))
+    codes = [span * x + y for x, y in zip(keys, keys[1:])]
     if dedup is Dedup.CONSECUTIVE:
-        pairs = pairs[:1] + [b for a, b in zip(pairs, pairs[1:]) if b != a]
-    steps = tuple((built[x], built[y]) for x, y in pairs)
+        codes = codes[:1] + [b for a, b in zip(codes, codes[1:]) if b != a]
+    pairs = {code: (built[code // span], built[code % span]) for code in set(codes)}
+    steps = tuple(map(pairs.__getitem__, codes))
     return TransitionSequence(steps, dedup_applied=dedup is Dedup.CONSECUTIVE)
 

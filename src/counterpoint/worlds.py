@@ -168,31 +168,34 @@ def _c2_solutions(n: int, v: int) -> list:
     return solutions
 
 
-def _species_parts(d: Dichotomy, species: frozenset, solutions: list) -> dict:
-    """k -> (a, b, t) of every symmetry (a, b, 0, t) of 0+ek, ascending, for k in species.
+def _species_parts(d: Dichotomy, sources, solutions: list) -> dict:
+    """k -> (a, b, t) of every symmetry (a, b, 0, t) of 0+ek, ascending, for k in sources.
 
     The candidates (a, g, t), t from ``solutions`` (:func:`_c2_solutions` of
     the polarity's v) and scored by :func:`_c3_scores`, do not depend on k,
     so they are ranked once and walked from the best down: each goes to the
     k in t + a*O (C1, with O the opposite species) that no better candidate
-    has taken.  A source that no candidate reaches gets an empty list.
+    has taken.  ``sources`` lie in one species; a candidate that reaches none
+    of them is not ranked, and a source no candidate reaches gets an empty list.
     """
     u = _polarity_or_raise(d).u
     n = d.modulus.n
+    species = _species(d, next(iter(sources)))
     opposite = d.complement() if species == d.half else d.half
     ranks: dict = {}
     for a, by_g in _c3_scores(d.modulus, species).items():
         scaled = [a * m for m in opposite]
         for t in solutions[u * (1 - a) % n]:
-            sources = species.intersection([(t + m) % n for m in scaled])
-            for g, cosets in by_g.items():
-                ranks.setdefault(cosets[t % g], []).append((a, g, t, sources))
-    best = {k: [] for k in species}
-    left = set(species)
+            reach = sources.intersection([(t + m) % n for m in scaled])
+            if reach:
+                for g, cosets in by_g.items():
+                    ranks.setdefault(cosets[t % g], []).append((a, g, t, reach))
+    best = {k: [] for k in sources}
+    left = set(sources)
     for score in sorted(ranks, reverse=True):
         taken = set()
-        for a, g, t, sources in ranks[score]:
-            for k in sources & left:
+        for a, g, t, reach in ranks[score]:
+            for k in reach & left:
                 best[k] += [(a, b, t) for b in range(0, n, g) if gcd(b, n) == g]
                 taken.add(k)
         left -= taken
@@ -215,7 +218,7 @@ def counterpoint_symmetries(d: Dichotomy, xi: DualNumber) -> list:
     m = d.modulus
     n, x = m.n, xi.a
     solutions = _c2_solutions(n, _polarity_or_raise(d).v)
-    parts = _species_parts(d, _species(d, xi.b), solutions)[xi.b]
+    parts = _species_parts(d, {xi.b}, solutions)[xi.b]
     return [
         DualAffineMap(a, b, s, t, m)
         for a, b, s, t in sorted((a, b, x * (1 - a) % n, (t - b * x) % n) for a, b, t in parts)

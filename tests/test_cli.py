@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import subprocess
@@ -344,6 +345,18 @@ class TestAnalyze:
         assert out == ""
         assert "need at least 2 events" in err
 
+    def test_field_over_the_csv_limit_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        huge = "6" * (csv.field_size_limit() + 1)
+        path.write_text(f"measure,beat,pitch\n1,1,60\n2,1,{huge}\n", encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            "analyze", "--file", str(path), "--format", "DRONE", "--world", "fux",
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: line 3: malformed CSV: field larger than field limit" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -601,8 +614,12 @@ class TestEntryPoints:
         out = capsys.readouterr().out
         assert "counterpoint" in out
 
-    def test_console_script(self):
-        env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(counterpoint.__file__).parents[1])}
+    def test_console_script(self, tmp_path):
+        env = {
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": str(Path(counterpoint.__file__).parents[1]),
+            "PYTHONPYCACHEPREFIX": str(tmp_path / "pycache"),  # no bytecode left in the source tree
+        }
         result = subprocess.run(
             [sys.executable, "-m", "counterpoint.cli_reports", "noll", "0,4,7"],
             capture_output=True,

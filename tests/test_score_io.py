@@ -113,6 +113,13 @@ BAD_FIELDS = (
     (2, ["-1", "128", "6.5", "sixty"]),  # cantus or pitch
     (-1, ["-1", "128", "6.5", "sixty"]),  # discant or pitch
 )
+# How an integer field is written: mostly as str() writes it, else in a
+# spelling only int() reads (padded, zero-led, or -0 standing for 0).
+INT_SPELLINGS = ("{}",) * 6 + (" {}", "{} ", "0{}", "-0")
+
+
+def spell(draw, value):
+    return draw(st.sampled_from(INT_SPELLINGS)).format(value)
 
 
 @st.composite
@@ -129,8 +136,8 @@ def score_texts(draw):
             lines.append("")
             continue
         measure += draw(st.sampled_from((1, 1, 1, 1, 0, 0, -1)))
-        fields = [str(measure), draw(st.sampled_from(BEAT_SPELLINGS))] + [
-            str(draw(st.integers(min_value=0, max_value=127))) for _ in range(width - 2)
+        fields = [spell(draw, measure), draw(st.sampled_from(BEAT_SPELLINGS))] + [
+            spell(draw, draw(st.integers(min_value=0, max_value=127))) for _ in range(width - 2)
         ]
         if shape == "bad":
             position, values = draw(st.sampled_from(BAD_FIELDS))
@@ -222,6 +229,17 @@ class TestParseScore:
 
     def test_an_earlier_error_still_reports_first(self):
         text = f"{DRONE_HEADER}\n1,1,sixty\n2,1,6_0\n"
+        with pytest.raises(ParseError, match="sixty") as info:
+            parse_score(text, ScoreFormat.DRONE)
+        assert info.value.line == 2
+
+    def test_field_over_the_csv_limit_reports_its_line(self):
+        huge = "6" * (csv.field_size_limit() + 1)
+        text = f"{DRONE_HEADER}\n1,1,60\n2,1,{huge}\n"
+        with pytest.raises(ParseError, match="field larger than field limit") as info:
+            parse_score(text, ScoreFormat.DRONE)
+        assert info.value.line == 3
+        text = f"{DRONE_HEADER}\n1,1,sixty\n2,1,{huge}\n"
         with pytest.raises(ParseError, match="sixty") as info:
             parse_score(text, ScoreFormat.DRONE)
         assert info.value.line == 2
