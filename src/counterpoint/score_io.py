@@ -112,13 +112,14 @@ def _plain(text: str) -> bool:
     return text.isascii() and "_" not in text and "+" not in text
 
 
-def _parse_int(field: str, value: str, line: int, low: int, high: int) -> int:
+def _parse_int(field: str, value: str, reader, low: int, high: int) -> int:
+    """``int(value)`` in [low, high], else a ParseError on ``reader``'s current line."""
     try:
         number = int(value)
     except ValueError as exc:
-        raise ParseError(line, f"{field} must be an integer, got {value!r}") from exc
+        raise ParseError(reader.line_num, f"{field} must be an integer, got {value!r}") from exc
     if not low <= number <= high:
-        raise ParseError(line, f"{field} {number} outside [{low}, {high}]")
+        raise ParseError(reader.line_num, f"{field} {number} outside [{low}, {high}]")
     return number
 
 
@@ -127,8 +128,10 @@ def parse_score(text: str, fmt: ScoreFormat) -> List[ScoreEvent]:
 
     Each distinct beat spelling is parsed once per call into its Fraction
     and an ordering key: the int numerator when the beat is integral, the
-    Fraction otherwise, so integral stamps compare as ints.  A field over
-    ``csv.field_size_limit()`` is a ParseError on the line the reader stopped at.
+    Fraction otherwise, so integral stamps compare as ints.  Errors name the
+    physical line the reader stopped at, which is a row's last line when a
+    quoted field spans lines; a field over ``csv.field_size_limit()`` is a
+    ParseError on that line too.
     """
     header = _HEADERS[fmt]
     reader = csv.reader(io.StringIO(text))
@@ -144,33 +147,33 @@ def parse_score(text: str, fmt: ScoreFormat) -> List[ScoreEvent]:
             raise ParseError(1, "empty input")
         if first != header:
             raise ParseError(1, f"header must be {','.join(header)!r}, got {','.join(first)!r}")
-        for index, row in enumerate(reader, start=2):
+        for row in reader:  # reader.line_num is the row's last physical line
             if not row:
                 continue
             if len(row) != len(header):
-                raise ParseError(index, f"expected {len(header)} fields, got {len(row)}")
+                raise ParseError(reader.line_num, f"expected {len(header)} fields, got {len(row)}")
             if not (plain or _plain("".join(row))):
-                raise ParseError(index, f"non-ASCII, '+' or '_' in {','.join(row)!r}")
-            measure = _parse_int("measure", row[0], index, -(10 ** 9), 10 ** 9)
+                raise ParseError(reader.line_num, f"non-ASCII, '+' or '_' in {','.join(row)!r}")
+            measure = _parse_int("measure", row[0], reader, -(10 ** 9), 10 ** 9)
             parsed = beats.get(row[1])
             if parsed is None:
                 try:
                     beat = Fraction(row[1])
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ParseError(
-                        index, f"beat must be a decimal rational, got {row[1]!r}"
+                        reader.line_num, f"beat must be a decimal rational, got {row[1]!r}"
                     ) from exc
                 parsed = beats[row[1]] = (beat, beat.numerator if beat.denominator == 1 else beat)
             beat, key = parsed
             if two_voice:
-                cantus: Optional[int] = note(row[2]) or _parse_int("cantus", row[2], index, 0, 127)
-                pitch = note(row[3]) or _parse_int("discant", row[3], index, 0, 127)
+                cantus: Optional[int] = note(row[2]) or _parse_int("cantus", row[2], reader, 0, 127)
+                pitch = note(row[3]) or _parse_int("discant", row[3], reader, 0, 127)
             else:
                 cantus = None
-                pitch = note(row[2]) or _parse_int("pitch", row[2], index, 0, 127)
+                pitch = note(row[2]) or _parse_int("pitch", row[2], reader, 0, 127)
             if measure < last_measure or measure == last_measure and key <= last_key:
                 raise OrderError(
-                    f"line {index}: event at measure {measure} beat {beat} does not "
+                    f"line {reader.line_num}: event at measure {measure} beat {beat} does not "
                     "advance (measure, beat)"
                 )
             last_measure, last_key = measure, key

@@ -141,7 +141,6 @@ def _species(d: Dichotomy, k: int) -> frozenset:
     return d.half if d.modulus.reduce(k) in d.half else d.complement()
 
 
-@lru_cache(maxsize=None)
 def _c3_scores(modulus: Modulus, species: frozenset) -> dict:
     """a -> {g: C3 score per coset t mod g} for every unit a and divisor g of n.
 
@@ -158,6 +157,25 @@ def _c3_scores(modulus: Modulus, species: frozenset) -> dict:
         j_row = [sum(1 for m in scaled if (m + w) % n in species) for w in range(n)]
         scores[a] = {g: [g * sum(j_row[r::g]) for r in range(g)] for g in divisors}
     return scores
+
+
+@lru_cache(maxsize=None)
+def _c3_tops(modulus: Modulus, species: frozenset) -> dict:
+    """a -> per t in Z_n, (top, bs): the best C3 score of (a, b, t) and every b reaching it.
+
+    Read from :func:`_c3_scores`, where b scores as its g = gcd(b, n); the
+    bs, ascending, are those of every g tied at the top.
+    """
+    n = modulus.n
+    gcds = [gcd(b, n) for b in range(n)]
+    tops = {}
+    for a, by_g in _c3_scores(modulus, species).items():
+        tops[a] = []
+        for t in range(n):
+            scores = [by_g[g][t % g] for g in gcds]
+            top = max(scores)
+            tops[a].append((top, tuple(b for b, score in enumerate(scores) if score == top)))
+    return tops
 
 
 def _c2_solutions(n: int, v: int) -> list:
@@ -177,26 +195,29 @@ def _species_parts(d: Dichotomy, sources, solutions: list) -> dict:
     k in t + a*O (C1, with O the opposite species) that no better candidate
     has taken.  ``sources`` lie in one species; a candidate that reaches none
     of them is not ranked, and a source no candidate reaches gets an empty list.
+    Every g of one (a, t) reaches the same sources, which its best-scoring g
+    take first, so only the (a, t) at their top score (:func:`_c3_tops`),
+    with the b of every g tied there, are ranked.
     """
     u = _polarity_or_raise(d).u
     n = d.modulus.n
     species = _species(d, next(iter(sources)))
     opposite = d.complement() if species == d.half else d.half
     ranks: dict = {}
-    for a, by_g in _c3_scores(d.modulus, species).items():
+    for a, tops in _c3_tops(d.modulus, species).items():
         scaled = [a * m for m in opposite]
         for t in solutions[u * (1 - a) % n]:
             reach = sources.intersection([(t + m) % n for m in scaled])
             if reach:
-                for g, cosets in by_g.items():
-                    ranks.setdefault(cosets[t % g], []).append((a, g, t, reach))
+                top, bs = tops[t]
+                ranks.setdefault(top, []).append((a, bs, t, reach))
     best = {k: [] for k in sources}
     left = set(sources)
     for score in sorted(ranks, reverse=True):
         taken = set()
-        for a, g, t, reach in ranks[score]:
+        for a, bs, t, reach in ranks[score]:
             for k in reach & left:
-                best[k] += [(a, b, t) for b in range(0, n, g) if gcd(b, n) == g]
+                best[k] += [(a, b, t) for b in bs]
                 taken.add(k)
         left -= taken
         if not left:
@@ -243,12 +264,25 @@ class RestrictionMode(Enum):
     BOTH_VOICES = "BOTH_VOICES"
 
 
+@lru_cache(maxsize=None)
+def _plane(modulus: Modulus) -> tuple:
+    """The n^2 intervals x+ek of Z_n[eps], interval x+ek at index n*x + k.
+
+    One shared tuple per modulus: worlds hand out these objects rather
+    than building an interval per successor or per walk step.
+    """
+    n = modulus.n
+    return tuple(DualNumber(x, k, modulus) for x in range(n) for k in range(n))
+
+
 @dataclass(frozen=True)
 class World:
     """Per-step symmetry counts for a strong dichotomy.
 
     ``counts`` holds n^2 rows of n^2 bytes; row index n*x + k, column
-    index n*y + l for the step x+ek -> y+el.
+    index n*y + l for the step x+ek -> y+el.  The successor table derived
+    from it is cached on first use; ``dataclasses.replace`` does not carry
+    it over, so a world with new counts gets a new table.
     """
 
     dichotomy: Dichotomy
@@ -280,31 +314,25 @@ class World:
         return self.total_steps - self.histogram.get(0, 0)
 
     def intervals(self):
-        n = self.modulus.n
-        for x in range(n):
-            for k in range(n):
-                yield DualNumber(x, k, self.modulus)
+        return iter(_plane(self.modulus))
 
     def successors(self, xi: DualNumber) -> list:
         """Valid successors of xi with their counts, sorted by (cantus, interval)."""
         n = self.modulus.n
         if xi.modulus.n != n:
             raise ModulusMismatch("interval and world moduli differ")
-        return list(self._successor_rows[n * xi.a + xi.b])
+        i = n * xi.a + xi.b
+        plane, row = _plane(self.modulus), self.counts[i]
+        return [(plane[col], row[col]) for col in self._successor_table[i][0]]
 
     @cached_property
-    def _successor_rows(self) -> tuple:
-        """Per row of ``counts``, its nonzero (interval, count) pairs in column order.
-
-        Built on first use; ``dataclasses.replace`` does not carry it over.
-        Rows share one pair object per (column, count), which keeps the
-        table to about one pointer per valid step.
-        """
-        top = max(max(row) for row in self.counts)
-        pairs = [[(z, c) for c in range(top + 1)] for z in self.intervals()]
-        return tuple(
-            tuple(pairs[col][c] for col, c in enumerate(row) if c) for row in self.counts
-        )
+    def _successor_table(self) -> tuple:
+        """Per row of ``counts``: (its nonzero columns, their number, its bit_length())."""
+        table = []
+        for row in self.counts:
+            cols = tuple(col for col, c in enumerate(row) if c)
+            table.append((cols, len(cols), len(cols).bit_length()))
+        return tuple(table)
 
 
 def score_against_world(seq, world: World) -> List[int]:
@@ -546,6 +574,13 @@ class WalkResult(_Value):
 def walk(w: World, start: DualNumber, length: int, seed: int) -> WalkResult:
     """Seed-deterministic random walk over valid steps.
 
+    Each step picks uniformly among the current interval's valid successors,
+    in (cantus, interval) order: with size successors and k the bit_length
+    of size, it draws r = getrandbits(k) from ``random.Random(seed)`` until
+    r < size and steps to successor r.  That is the draw ``Random.choice``
+    makes on Python 3.10-3.13, so a seed gives the path ``rng.choice`` per
+    step would; the golden digests in the tests freeze the paths.
+
     Raises ValueError for a negative length and DeadEnd when the start
     itself has no valid successor; a dead end reached later stops the walk
     early and is reported in the result.
@@ -554,19 +589,25 @@ def walk(w: World, start: DualNumber, length: int, seed: int) -> WalkResult:
         raise ValueError(f"walk length must be non-negative, got {length}")
     if start.modulus != w.modulus:
         raise ModulusMismatch("start interval and world moduli differ")
-    n = w.modulus.n
-    rows = w._successor_rows
-    if not rows[n * start.a + start.b]:
+    table = w._successor_table
+    i = w.modulus.n * start.a + start.b
+    if not table[i][1]:
         raise DeadEnd(f"interval {start.render()} has no valid successor")
-    rng = random.Random(seed)
-    path = [start]
-    for i in range(length):
-        xi = path[-1]
-        options = rows[n * xi.a + xi.b]
-        if not options:
-            return WalkResult(tuple(path), False, i)
-        path.append(rng.choice(options)[0])
-    return WalkResult(tuple(path), True, None)
+    getrandbits = random.Random(seed).getrandbits
+    steps = [i]
+    dead_end_at = None
+    for taken in range(length):
+        cols, size, bits = table[i]
+        if not size:
+            dead_end_at = taken
+            break
+        r = getrandbits(bits)
+        while r >= size:
+            r = getrandbits(bits)
+        i = cols[r]
+        steps.append(i)
+    plane = _plane(w.modulus)
+    return WalkResult(tuple([plane[i] for i in steps]), dead_end_at is None, dead_end_at)
 
 
 def world_matrix_csv(w: World) -> str:

@@ -1,22 +1,26 @@
 """Test oracles: the whole dual symmetry pool, the image of one dual number,
-two independent commutation checks, and the set-based reference for the
+two independent commutation checks, the set-based reference for the
 affine orbits of ``dichotomies`` (one ``ResidueAffineMap`` and one
-``frozenset`` per image).
+``frozenset`` per image), and the walk by its definition
+(``Random.choice`` over ``World.successors`` per step).
 
 The package needs none of these; tests import them from here, as they do
 ``paper_witnesses``.
 """
 
+import random
 from itertools import combinations
 
 from counterpoint import (
     ChordEndomorphismReport,
+    DeadEnd,
     Dichotomy,
     DichotomyClass,
     DualAffineMap,
     Modulus,
     ResidueAffineMap,
     StrengthCertificate,
+    WalkResult,
 )
 from counterpoint.dichotomies import _CLASS_ALIASES
 
@@ -144,3 +148,23 @@ def chord_endomorphisms(chord, modulus: Modulus = Modulus()) -> ChordEndomorphis
         linear_parts,
         verdict,
     )
+
+
+def reference_walk(w, start, length: int, seed: int) -> WalkResult:
+    """The walk by its definition: ``rng.choice(w.successors(xi))[0]`` per step.
+
+    DeadEnd when the start has no successor; a later dead end stops the walk
+    with ``completed`` false and ``dead_end_at`` the steps taken.
+    """
+    if length < 0:
+        raise ValueError(f"walk length must be non-negative, got {length}")
+    if not w.successors(start):
+        raise DeadEnd(f"interval {start.render()} has no valid successor")
+    rng = random.Random(seed)
+    path = [start]
+    for i in range(length):
+        options = w.successors(path[-1])
+        if not options:
+            return WalkResult(tuple(path), False, i)
+        path.append(rng.choice(options)[0])
+    return WalkResult(tuple(path), True, None)

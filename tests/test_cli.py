@@ -357,6 +357,17 @@ class TestAnalyze:
         assert out == ""
         assert "error: line 3: malformed CSV: field larger than field limit" in err
 
+    def test_row_error_after_a_multiline_field_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('measure,beat,pitch\n1,"1\n",60\n2,1,sixty\n', encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            "analyze", "--file", str(path), "--format", "DRONE", "--world", "fux",
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: line 4: pitch must be an integer, got 'sixty'" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

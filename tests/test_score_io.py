@@ -244,6 +244,19 @@ class TestParseScore:
             parse_score(text, ScoreFormat.DRONE)
         assert info.value.line == 2
 
+    def test_row_errors_name_the_physical_line_after_a_multiline_field(self):
+        text = f'{DRONE_HEADER}\n1,"1\n",60\n2,1,sixty\n'
+        with pytest.raises(ParseError, match="got 'sixty'") as info:
+            parse_score(text, ScoreFormat.DRONE)
+        assert info.value.line == 4
+        text = f'{DRONE_HEADER}\n1,"1\n",60\n1,1,62\n'
+        with pytest.raises(OrderError, match="^line 4: "):
+            parse_score(text, ScoreFormat.DRONE)
+        text = f'{DRONE_HEADER}\n1,"1\n\n",sixty\n'
+        with pytest.raises(ParseError) as info:
+            parse_score(text, ScoreFormat.DRONE)
+        assert info.value.line == 4
+
     def test_spaces_around_fields_still_parse(self):
         text = f"{DRONE_HEADER}\n 1, 2, 60 \n"
         assert parse_score(text, ScoreFormat.DRONE) == [ScoreEvent(1, Fraction(2), None, 60)]
