@@ -113,7 +113,7 @@ def sample_summary(
 
 # Acklam's rational approximation to the standard normal quantile, refined
 # with one Halley step through math.erfc for close-to-double precision.  The
-# tails below _P_LOW and above 1 - _P_LOW use the _C/_D branch.
+# tail below _P_LOW uses the _C/_D branch; the one above 1 - _P_LOW mirrors it.
 _P_LOW = 0.02425
 _A = (
     -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
@@ -137,21 +137,19 @@ def normal_quantile(p: float) -> float:
     """Inverse of the standard normal CDF on (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {p}")
+    if p > 1 - _P_LOW:
+        # 1 - p is exact here (Sterbenz), and the lower tail refines accurately.
+        return -normal_quantile(1 - p)
     if p < _P_LOW:
         q = math.sqrt(-2 * math.log(p))
         x = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / (
             (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1
         )
-    elif p <= 1 - _P_LOW:
+    else:
         q = p - 0.5
         r = q * q
         x = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / (
             ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1
-        )
-    else:
-        q = math.sqrt(-2 * math.log(1 - p))
-        x = -(((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / (
-            (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1
         )
     if x * x > 1400:
         # p below about 1e-306: exp(x*x/2) nears overflow, so the rational

@@ -21,15 +21,15 @@ S (the marked half K if k is marked, else the complement D):
     passing C1 and C2.
 
 The engine solves cantus 0 only.  There s = 0, and no filter depends on b:
-C2 reads t(1 - v) = u(1 - a) and is solved for t by a residue -> solutions
-lookup, and C1 asks a^-1(k - t) to lie in the opposite species O, that is
-k in t + a*O.  The C3 score of a candidate is sum_y J[a][(b*y + t) mod n]
-with J[a][w] = |(a*S + w) cap S|; as y -> b*y covers the multiples of
-g = gcd(b, n) g times each, it equals g * sum_{j < n/g} J[a][(t mod g) + j*g].
-Neither C2 nor C3 involves k, so the candidates (a, g, t) of a species are
-ranked once, from the best down, and each goes to the sources k in t + a*O
-that no better candidate has taken.  The best (a, g, t) of a source expand
-to every b with gcd(b, n) = g.
+C2 reads t(1 - v) = u(1 - a), and C1 asks a^-1(k - t) to lie in the
+opposite species O, that is k in t + a*O.  The C3 score of a candidate is
+sum_y J[a][(b*y + t) mod n] with J[a][w] = |(a*S + w) cap S|; as y -> b*y
+covers the multiples of g = gcd(b, n) g times each, it equals
+g * sum_{j < n/g} J[a][(t mod g) + j*g].  One candidate table per species
+holds, for each unit a and each t solving C2, the top C3 score, every b
+reaching it and the sources t + a*O it admits.  Neither C2 nor C3 involves
+k, so the table is ranked once, from the best down, and each candidate goes
+to the sources it admits that no better candidate has taken.
 
 Every other cantus is reached by conjugating with the translation by x,
 which carries the fiber pool, the transported polarity and both species
@@ -141,76 +141,51 @@ def _species(d: Dichotomy, k: int) -> frozenset:
     return d.half if d.modulus.reduce(k) in d.half else d.complement()
 
 
-def _c3_scores(modulus: Modulus, species: frozenset) -> dict:
-    """a -> {g: C3 score per coset t mod g} for every unit a and divisor g of n.
+@lru_cache(maxsize=None)
+def _candidates(d: Dichotomy, species: frozenset) -> tuple:
+    """(a, t, top, bs, admits) for every unit a and every t solving C2 for a.
 
-    With J[a][w] = |(a*species + w) cap species|, the score
-    sum_y J[a][(b*y + t) mod n] of (a, b, t) depends on b only through
-    g = gcd(b, n) and on t only through t mod g: y -> b*y covers the
-    multiples of g, each g times, so it is g * sum_{j < n/g} J[a][(t mod g) + j*g].
+    C2 reads t(1 - v) = u(1 - a) mod n.  ``top`` is the best C3 score
+    sum_y J[a][(b*y + t) mod n] of (a, b, t) over b, with
+    J[a][w] = |(a*species + w) cap species|, and ``bs`` every b reaching it,
+    ascending: y -> b*y covers the multiples of g = gcd(b, n), each g times,
+    so b scores g * sum_{j < n/g} J[a][(t mod g) + j*g].  ``admits`` is
+    t + a*O, O the opposite species: the sources whose C1 the candidate passes.
     """
-    n = modulus.n
-    divisors = [g for g in range(1, n + 1) if n % g == 0]
-    scores = {}
-    for a in modulus.units():
+    p = _polarity_or_raise(d)
+    n = d.modulus.n
+    opposite = frozenset(range(n)) - species
+    gcds = [gcd(b, n) for b in range(n)]
+    candidates = []
+    for a in d.modulus.units():
         scaled = [(a * m) % n for m in species]
         j_row = [sum(1 for m in scaled if (m + w) % n in species) for w in range(n)]
-        scores[a] = {g: [g * sum(j_row[r::g]) for r in range(g)] for g in divisors}
-    return scores
-
-
-@lru_cache(maxsize=None)
-def _c3_tops(modulus: Modulus, species: frozenset) -> dict:
-    """a -> per t in Z_n, (top, bs): the best C3 score of (a, b, t) and every b reaching it.
-
-    Read from :func:`_c3_scores`, where b scores as its g = gcd(b, n); the
-    bs, ascending, are those of every g tied at the top.
-    """
-    n = modulus.n
-    gcds = [gcd(b, n) for b in range(n)]
-    tops = {}
-    for a, by_g in _c3_scores(modulus, species).items():
-        tops[a] = []
         for t in range(n):
-            scores = [by_g[g][t % g] for g in gcds]
+            if t * (1 - p.v) % n != p.u * (1 - a) % n:
+                continue
+            scores = [g * sum(j_row[t % g :: g]) for g in gcds]
             top = max(scores)
-            tops[a].append((top, tuple(b for b, score in enumerate(scores) if score == top)))
-    return tops
+            bs = tuple(b for b, score in enumerate(scores) if score == top)
+            candidates.append((a, t, top, bs, frozenset((t + a * m) % n for m in opposite)))
+    return tuple(candidates)
 
 
-def _c2_solutions(n: int, v: int) -> list:
-    """solutions[r] = every t in Z_n with t(1 - v) = r mod n, ascending."""
-    solutions = [[] for _ in range(n)]
-    for t in range(n):
-        solutions[t * (1 - v) % n].append(t)
-    return solutions
-
-
-def _species_parts(d: Dichotomy, sources, solutions: list) -> dict:
+def _species_parts(d: Dichotomy, sources) -> dict:
     """k -> (a, b, t) of every symmetry (a, b, 0, t) of 0+ek, ascending, for k in sources.
 
-    The candidates (a, g, t), t from ``solutions`` (:func:`_c2_solutions` of
-    the polarity's v) and scored by :func:`_c3_scores`, do not depend on k,
-    so they are ranked once and walked from the best down: each goes to the
-    k in t + a*O (C1, with O the opposite species) that no better candidate
-    has taken.  ``sources`` lie in one species; a candidate that reaches none
-    of them is not ranked, and a source no candidate reaches gets an empty list.
-    Every g of one (a, t) reaches the same sources, which its best-scoring g
-    take first, so only the (a, t) at their top score (:func:`_c3_tops`),
-    with the b of every g tied there, are ranked.
+    The candidates (:func:`_candidates`) do not depend on k, so they are
+    ranked by their top score and walked from the best down: each goes to
+    the k it admits (C1) that no better candidate has taken, with the b of
+    every g tied at its top.  ``sources`` lie in one species; a candidate
+    that admits none of them is not ranked, and a source no candidate
+    reaches gets an empty list.
     """
-    u = _polarity_or_raise(d).u
-    n = d.modulus.n
     species = _species(d, next(iter(sources)))
-    opposite = d.complement() if species == d.half else d.half
     ranks: dict = {}
-    for a, tops in _c3_tops(d.modulus, species).items():
-        scaled = [a * m for m in opposite]
-        for t in solutions[u * (1 - a) % n]:
-            reach = sources.intersection([(t + m) % n for m in scaled])
-            if reach:
-                top, bs = tops[t]
-                ranks.setdefault(top, []).append((a, bs, t, reach))
+    for a, t, top, bs, admits in _candidates(d, species):
+        reach = admits.intersection(sources)
+        if reach:
+            ranks.setdefault(top, []).append((a, bs, t, reach))
     best = {k: [] for k in sources}
     left = set(sources)
     for score in sorted(ranks, reverse=True):
@@ -238,8 +213,7 @@ def counterpoint_symmetries(d: Dichotomy, xi: DualNumber) -> list:
         raise ModulusMismatch("interval and dichotomy moduli differ")
     m = d.modulus
     n, x = m.n, xi.a
-    solutions = _c2_solutions(n, _polarity_or_raise(d).v)
-    parts = _species_parts(d, {xi.b}, solutions)[xi.b]
+    parts = _species_parts(d, {xi.b})[xi.b]
     return [
         DualAffineMap(a, b, s, t, m)
         for a, b, s, t in sorted((a, b, x * (1 - a) % n, (t - b * x) % n) for a, b, t in parts)
@@ -394,7 +368,7 @@ def _engine_class_table(d: Dichotomy) -> tuple:
     lanes = itemgetter(*[vi * (l - u) % n for l in range(n)])
     # R_a[c] is the low n lanes of spread[a] shifted right by c lanes.
     full = (1 << 8 * n) - 1
-    by_source = _species_parts(d, half, _c2_solutions(n, v))
+    by_source = _species_parts(d, half)
     spread = {
         a: sum(1 << 8 * (n - 1 - a * m % n) for m in half) * (full + 2)
         for a in {a for parts in by_source.values() for a, _, _ in parts}

@@ -3,14 +3,14 @@
 The reference scans every translation t for C2, sums each candidate's C3
 overlap score over all n cantus positions, and fills each class-table cell
 by counting pull-backs one by one, for every one of the n sources 0+ek.
-The engine solves cantus 0 only (C2 from a residue lookup, C3 scores from
-the gcd closed form, every candidate ranked once per species and handed to
-the sources its C1 admits), reaches every other cantus by conjugating with
-a translation, and sums slabs from species rows for the n/2 marked sources
-only, one block per divisor g of n: block d is block gcd(d, n).  The other
-n/2 slabs it gets from the polarity identity T[vk + u][v*d][v*l + u] =
-T[k][d][l] of the polarity e^u.v: slab vk + u is slab k with lane l of each
-block moved to v*l + u.  Both must give the same symmetries and the same
+The engine solves cantus 0 only, from one candidate table per species (each
+t solving C2, scored by the gcd closed form of C3 and admitting the sources
+t + a*O of C1), ranked once and handed out best first.  It reaches every
+other cantus by conjugating with a translation, and sums slabs from species
+rows for the n/2 marked sources only, one block per divisor g of n: block
+d is block gcd(d, n).  The other n/2 slabs it gets from the polarity
+identity T[vk + u][v*d][v*l + u] = T[k][d][l] of the polarity e^u.v: slab
+vk + u is slab k with lane l of each block moved to v*l + u.  Both must give the same symmetries and the same
 bytes, so the byte comparison checks every derived block and slab against a
 directly solved one.  The identity itself is checked on the symmetries, on
 the reference tables and on the built worlds, for the canonical strong
@@ -20,7 +20,6 @@ their representatives'.
 
 import random
 from functools import lru_cache
-from math import gcd
 
 import pytest
 
@@ -239,41 +238,36 @@ def test_only_the_frozen_mystic_table_breaks_the_polarity_identity():
 
 @pytest.mark.parametrize("n", range(6, 17, 2))
 def test_c3_score_closed_form_equals_the_direct_sum(n):
+    """Each unit's candidates are its C2 solutions t, scored, ranked over b and admitting t + a*O."""
     modulus = Modulus(n)
-    for d in strong_dichotomies(n):
-        for species in (d.half, d.complement()):
-            scores = worlds._c3_scores(modulus, species)
+    for d in strong_dichotomies(n) + affine_images(n):
+        p = worlds._polarity_or_raise(d)
+        for species, opposite in ((d.half, d.complement()), (d.complement(), d.half)):
+            candidates = worlds._candidates(d, species)
             j_rows = overlap_rows(modulus, species)
-            assert sorted(scores) == list(modulus.units())
-            for a, j_row in j_rows.items():
-                for b in range(n):
-                    g = gcd(b, n)
-                    for t in range(n):
-                        direct = sum(j_row[(b * y + t) % n] for y in range(n))
-                        assert scores[a][g][t % g] == direct
-                        assert direct == g * sum(j_row[t % g + j * g] for j in range(n // g))
-
-
-def test_c2_solutions_are_every_t_solving_the_congruence():
-    for n in range(6, 17, 2):
-        for v in Modulus(n).units():
-            solutions = worlds._c2_solutions(n, v)
-            for r in range(n):
-                assert solutions[r] == [t for t in range(n) if t * (1 - v) % n == r]
+            assert [(a, t) for a, t, _, _, _ in candidates] == [
+                (a, t) for a in modulus.units() for t in range(n)
+                if t * (1 - p.v) % n == p.u * (1 - a) % n
+            ]
+            for a, t, top, bs, admits in candidates:
+                direct = [sum(j_rows[a][(b * y + t) % n] for y in range(n)) for b in range(n)]
+                assert top == max(direct)
+                assert bs == tuple(b for b in range(n) if direct[b] == top)
+                assert admits == {(t + a * m) % n for m in opposite}
 
 
 def test_a_source_that_no_candidate_reaches_has_no_symmetries(monkeypatch):
-    """No strong class at n <= 16 has such a source; with no C2 solution every source is one."""
+    """No strong class at n <= 16 has such a source; with no candidate every source is one."""
     d = Dichotomy.fux()
-    assert worlds._species_parts(d, d.half, [[] for _ in range(12)]) == {k: [] for k in d.half}
-    monkeypatch.setattr(worlds, "_c2_solutions", lambda n, v: [[] for _ in range(n)])
+    monkeypatch.setattr(worlds, "_candidates", lambda d, species: ())
+    assert worlds._species_parts(d, d.half) == {k: [] for k in d.half}
     assert worlds._engine_class_table(d) == (bytes(144),) * 12
     assert counterpoint_symmetries(d, DualNumber(0, 0, d.modulus)) == []
 
 
 def test_more_than_255_pullbacks_is_refused_not_wrapped(monkeypatch):
-    def overflowing(d, species, solutions):
-        return {k: [(1, d.modulus.n, 0)] * 256 for k in species}
+    def overflowing(d, sources):
+        return {k: [(1, d.modulus.n, 0)] * 256 for k in sources}
 
     monkeypatch.setattr(worlds, "_species_parts", overflowing)
     with pytest.raises(ValueError, match="256 pull-backs"):

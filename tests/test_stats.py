@@ -18,6 +18,7 @@ from counterpoint import (
     normal_quantile,
     sample_summary,
 )
+from counterpoint.stats import _P_LOW
 from paper_witnesses import witness_sample
 
 FUX_HISTOGRAM = {0: 6720, 1: 4992, 2: 5568, 3: 1440, 4: 1152, 5: 864}
@@ -116,6 +117,10 @@ class TestNormalQuantile:
     @given(p=st.floats(min_value=0.005, max_value=0.995))
     def test_antisymmetry(self, p):
         assert abs(normal_quantile(p) + normal_quantile(1 - p)) < 1e-9
+
+    @given(p=st.floats(min_value=1 - _P_LOW, max_value=1.0, exclude_min=True, exclude_max=True))
+    def test_upper_tail_is_exactly_the_mirrored_lower_tail(self, p):
+        assert normal_quantile(p) == -normal_quantile(1 - p)
 
     @given(p=st.floats(min_value=0.005, max_value=0.995))
     def test_round_trip_through_normal_cdf(self, p):
