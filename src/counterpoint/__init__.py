@@ -32,7 +32,6 @@ from .dichotomies import (
     Dichotomy,
     DichotomyClass,
     NotStrong,
-    OddModulusUnsupported,
     StrengthCertificate,
     TriadCoverReport,
     all_class_orbit_sizes,
@@ -56,7 +55,6 @@ from .worlds import (
     WorldOverlap,
     build_world,
     counterpoint_symmetries,
-    local_polarity,
     scale_restriction_report,
     score_against_world,
     step_count,

@@ -35,9 +35,9 @@ from typing import List, Optional
 
 from . import __version__
 from .dichotomies import (
+    EVEN_WHOLE_TONE,
     Dichotomy,
     NotStrong,
-    OddModulusUnsupported,
     chord_endomorphisms,
     parse_pitch_class_set,
 )
@@ -65,7 +65,6 @@ from .worlds import (
     DeadEnd,
     GateFailure,
     RestrictionMode,
-    World,
     build_world,
     scale_restriction_report,
     score_against_world,
@@ -90,7 +89,6 @@ _MODEL_ERRORS = (
     ModulusMismatch,
     DeadEnd,
     NotInvertible,
-    OddModulusUnsupported,
 )
 
 
@@ -142,13 +140,7 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-# ---------------------------------------------------------------------------
-# world loading
-
-
-def load_world(d: Dichotomy) -> World:
-    """Build the world of d; preset worlds pass their calibration gate first."""
-    return build_world(d)
+load_world = build_world  # the name perfbench imports
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +148,7 @@ def load_world(d: Dichotomy) -> World:
 
 
 def cmd_worlds_table(args) -> dict:
-    world = load_world(Dichotomy.parse(args.dichotomy))
+    world = build_world(Dichotomy.parse(args.dichotomy))
     moments = world_moments(world)
     text = [
         f"world: {world.label} ({world.dichotomy.render()})",
@@ -183,13 +175,13 @@ def cmd_worlds_table(args) -> dict:
 
 
 def cmd_worlds_export(args) -> dict:
-    world = load_world(Dichotomy.parse(args.dichotomy))
+    world = build_world(Dichotomy.parse(args.dichotomy))
     export = world_matrix_csv if args.what == "matrix" else world_histogram_csv
     return {"CSV": export(world)}
 
 
 def cmd_step(args) -> dict:
-    world = load_world(Dichotomy.parse(args.dichotomy))
+    world = build_world(Dichotomy.parse(args.dichotomy))
     src = DualNumber.parse(args.src)
     dst = DualNumber.parse(args.dst)
     count = world.count(src, dst)
@@ -207,8 +199,8 @@ def cmd_step(args) -> dict:
 
 
 def cmd_compare(args) -> dict:
-    world_a = load_world(Dichotomy.parse(args.a))
-    world_b = load_world(Dichotomy.parse(args.b))
+    world_a = build_world(Dichotomy.parse(args.a))
+    world_b = build_world(Dichotomy.parse(args.b))
     overlap = world_overlap(world_a, world_b)
     total = world_a.total_steps
     return {
@@ -248,7 +240,7 @@ def cmd_analyze(args) -> dict:
             raise ValueError(f"--cantus-pc {args.cantus_pc} is not a pitch class in 0..11") from None
         policy, policy_text = FixedCantus(pc), f"FIXED_CANTUS({pc})"
     dedup = Dedup[args.dedup]
-    world = load_world(Dichotomy.parse(args.world))
+    world = build_world(Dichotomy.parse(args.world))
     seq = extract_transitions(events, policy, dedup)
     counts = score_against_world(seq, world)
     pop = PopulationSpec.from_histogram(world.histogram)
@@ -303,7 +295,7 @@ def cmd_noll(args) -> dict:
     if args.scan:
         if args.chord:
             raise ValueError("give either a chord or --scan wt-triads, not both")
-        even = sorted(parse_pitch_class_set("0,2,4,6,8,10"))
+        even = sorted(EVEN_WHOLE_TONE)
         reports = [chord_endomorphisms(frozenset(tri)) for tri in combinations(even, 3)]
         all_false = not any(r.strong_verdict for r in reports)
         return {
@@ -353,7 +345,7 @@ def cmd_noll(args) -> dict:
 
 
 def cmd_scale_report(args) -> dict:
-    world = load_world(Dichotomy.parse(args.dichotomy))
+    world = build_world(Dichotomy.parse(args.dichotomy))
     scale = parse_pitch_class_set(args.scale) if args.scale else frozenset()
     report = scale_restriction_report(world, scale, RestrictionMode[args.mode])
     return {
@@ -381,7 +373,7 @@ def cmd_scale_report(args) -> dict:
 
 
 def cmd_walk(args) -> dict:
-    world = load_world(Dichotomy.parse(args.dichotomy))
+    world = build_world(Dichotomy.parse(args.dichotomy))
     start = DualNumber.parse(args.start)
     result = walk(world, start, args.length, args.seed)
     path = [z.render() for z in result.path]

@@ -19,10 +19,6 @@ class NotStrong(ValueError):
     """The operation requires a strong dichotomy."""
 
 
-class OddModulusUnsupported(ValueError):
-    """Whole-tone classification is defined for n = 12 only."""
-
-
 FUX_HALF = frozenset({0, 3, 4, 7, 8, 9})
 MYSTIC_HALF = frozenset({0, 2, 4, 6, 8, 11})
 PRESETS = {"fux": FUX_HALF, "mystic": MYSTIC_HALF}
@@ -285,26 +281,22 @@ def triad_covers(chord: Iterable, modulus: Modulus = Modulus()) -> TriadCoverRep
     return TriadCoverReport(tuple(sorted(chord_set)), aug, dim, maj, mino, tuple(sorted(near)))
 
 
-def whole_tone_affinity(chord: Iterable, modulus: Modulus = Modulus()) -> tuple:
-    """Return (|chord ∩ even whole-tone|, |chord ∩ odd whole-tone|)."""
-    if modulus.n != 12:
-        raise OddModulusUnsupported("whole-tone affinity is defined for n = 12")
-    chord_set = frozenset(modulus.reduce(c) for c in chord)
+def whole_tone_affinity(chord: Iterable) -> tuple:
+    """(|chord ∩ even whole-tone|, |chord ∩ odd whole-tone|), pitch classes mod 12."""
+    chord_set = frozenset(c % 12 for c in chord)
     return (len(chord_set & EVEN_WHOLE_TONE), len(chord_set & ODD_WHOLE_TONE))
 
 
-def mystic_parity(chord: Iterable, modulus: Modulus = Modulus()) -> str:
-    """Classify a chord as an EVEN or ODD mystic form, or neither.
+def mystic_parity(chord: Iterable) -> str:
+    """Classify a chord (pitch classes mod 12) as an EVEN or ODD mystic form, or neither.
 
     EVEN means the chord lies in the mystic affine class and shares five
     tones with the even whole-tone scale; ODD likewise with the odd scale.
     """
-    if modulus.n != 12:
-        raise OddModulusUnsupported("mystic parity is defined for n = 12")
-    chord_set = frozenset(modulus.reduce(c) for c in chord)
+    chord_set = frozenset(c % 12 for c in chord)
     if len(chord_set) != 6:
         return "NotMysticForm"
-    if classify(Dichotomy(chord_set, modulus)).canonical_representative != _MYSTIC_CANONICAL:
+    if classify(Dichotomy(chord_set)).canonical_representative != _MYSTIC_CANONICAL:
         return "NotMysticForm"
-    even, odd = whole_tone_affinity(chord_set, modulus)
+    even, odd = whole_tone_affinity(chord_set)
     return "EVEN" if even == 5 else "ODD" if odd == 5 else "NotMysticForm"

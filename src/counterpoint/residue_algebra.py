@@ -35,22 +35,11 @@ def _by_key(op, key):
     return method
 
 
-def _by_field(op, get):
-    """``_by_key`` for a one-field class, building its 1-tuple keys inline."""
-    def method(self, other):
-        if other.__class__ is self.__class__:
-            return op((get(self),), (get(other),))
-        return NotImplemented
-
-    return method
-
-
 class _Value:
     """A frozen value whose fields are its ``__slots__``, in order.
 
     Equality, hash and repr read the tuple of the fields, got by one key
     function per class, which each class's comparisons and hash close over;
-    a one-field class builds its 1-tuple inline instead of calling a key.
     ``order=True`` adds the order of that tuple.  Each ``__init__`` sets the
     fields through ``_set``, ``_fill`` or their slot descriptors.
     """
@@ -59,17 +48,13 @@ class _Value:
 
     def __init_subclass__(cls, order: bool = False) -> None:
         get = operator.attrgetter(*cls.__slots__) if cls.__slots__ else lambda self: ()
-        if len(cls.__slots__) == 1:  # the key is a 1-tuple, built inline, not by a key call
-            key, by = (lambda self: (get(self),)), _by_field
-            cls.__hash__ = lambda self: hash((get(self),))
-        else:
-            key, by = get, _by_key
-            cls.__hash__ = lambda self: hash(get(self))
+        key = get if len(cls.__slots__) != 1 else lambda self: (get(self),)
         cls._key = staticmethod(key)
-        cls.__eq__ = by(operator.eq, get)
+        cls.__eq__ = _by_key(operator.eq, key)
+        cls.__hash__ = lambda self: hash(key(self))
         if order:
             ops = (operator.lt, operator.le, operator.gt, operator.ge)
-            cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = (by(op, get) for op in ops)
+            cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = (_by_key(op, key) for op in ops)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._key(self)))

@@ -111,30 +111,14 @@ class DeadEnd(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def _certificate(d: Dichotomy):
-    return strength(d)
-
-
 def _polarity_or_raise(d: Dichotomy):
-    cert = _certificate(d)
-    if not cert.is_strong or cert.polarity is None:
+    cert = strength(d)
+    if not cert.is_strong:
         raise NotStrong(
             f"dichotomy {d.render()} is not strong with a polarity; "
             f"stabilizer size {len(cert.stabilizer)}, swaps {len(cert.swaps)}"
         )
     return cert.polarity
-
-
-def local_polarity(d: Dichotomy, x: int) -> DualAffineMap:
-    """Transport the polarity e^u.v of a strong dichotomy to cantus x.
-
-    The result (c + em) -> (vc + (1-v)x) + e(vm + u) swaps the marked and
-    unmarked interval species while fixing the cantus x itself, and is an
-    involution on all n^2 dual numbers.
-    """
-    p = _polarity_or_raise(d)
-    n = d.modulus.n
-    return DualAffineMap(p.v, 0, (1 - p.v) * x % n, p.u, d.modulus)
 
 
 def _species(d: Dichotomy, k: int) -> frozenset:

@@ -1,8 +1,9 @@
 """Test oracles: the whole dual symmetry pool, the image of one dual number,
-two independent commutation checks, the set-based reference for the
-affine orbits of ``dichotomies`` (one ``ResidueAffineMap`` and one
-``frozenset`` per image), and the walk by its definition
-(``Random.choice`` over ``World.successors`` per step).
+the local polarity of a strong dichotomy at a cantus, two independent
+commutation checks, the set-based reference for the affine orbits of
+``dichotomies`` (one ``ResidueAffineMap`` and one ``frozenset`` per image),
+and the walk by its definition (``Random.choice`` over ``World.successors``
+per step).
 
 The package needs none of these; tests import them from here, as they do
 ``paper_witnesses``.
@@ -11,6 +12,7 @@ The package needs none of these; tests import them from here, as they do
 import random
 from itertools import combinations
 
+import counterpoint
 from counterpoint import (
     ChordEndomorphismReport,
     DeadEnd,
@@ -18,6 +20,7 @@ from counterpoint import (
     DichotomyClass,
     DualAffineMap,
     Modulus,
+    NotStrong,
     ResidueAffineMap,
     StrengthCertificate,
     WalkResult,
@@ -41,6 +44,20 @@ def image(g: DualAffineMap, base: int, eps: int) -> tuple:
     """(c, m) with g(base + e*eps) = c + e*m, by dual-number arithmetic."""
     n = g.modulus.n
     return (g.a * base + g.s) % n, (g.a * eps + g.b * base + g.t) % n
+
+
+def local_polarity(d: Dichotomy, x: int) -> DualAffineMap:
+    """Transport the polarity e^u.v of a strong dichotomy to cantus x.
+
+    The result (c + em) -> (vc + (1-v)x) + e(vm + u) swaps the marked and
+    unmarked interval species while fixing the cantus x itself, and is an
+    involution on all n^2 dual numbers.  NotStrong unless d is strong.
+    """
+    cert = counterpoint.strength(d)
+    if not cert.is_strong:
+        raise NotStrong(f"dichotomy {d.render()} is not strong")
+    p, n = cert.polarity, d.modulus.n
+    return DualAffineMap(p.v, 0, (1 - p.v) * x % n, p.u, d.modulus)
 
 
 def commutes_pointwise(g: DualAffineMap, pol: DualAffineMap) -> bool:

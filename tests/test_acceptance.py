@@ -24,7 +24,6 @@ from counterpoint import (
     classify,
     effect_size,
     extract_transitions,
-    local_polarity,
     parse_score,
     sample_summary,
     scale_restriction_report,
@@ -33,7 +32,12 @@ from counterpoint import (
     strong_atlas,
     COLUMN_CANTUS,
 )
-from oracles import commutes_algebraic, commutes_pointwise, enumerate_dual_symmetries
+from oracles import (
+    commutes_algebraic,
+    commutes_pointwise,
+    enumerate_dual_symmetries,
+    local_polarity,
+)
 from paper_witnesses import PAPER_TALLIES, WITNESSES, witness_sample
 
 FUX_HISTOGRAM = {0: 6720, 1: 4992, 2: 5568, 3: 1440, 4: 1152, 5: 864}

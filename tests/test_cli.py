@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import counterpoint
+from counterpoint import cli_reports, worlds
 from counterpoint.cli_reports import main
 from paper_witnesses import WITNESS_1, WITNESS_2, witness_csv
 
@@ -502,6 +503,15 @@ class TestWalk:
         assert code == 3
         assert "no valid successor" in err
 
+    def test_dead_end_after_the_start_is_reported(self, capsys):
+        code, out, err = run(
+            capsys, "walk", "--dichotomy", "mystic", "--start", "0+e1",
+            "--length", "30", "--seed", "0",
+        )
+        assert code == 0
+        assert out == "0+e1 8+e9\ndead end after 1 steps\n"
+        assert err == ""
+
     def test_start_outside_the_residues_is_input_error(self, capsys):
         code, out, err = run(capsys, "walk", "--dichotomy", "fux", "--start", "13+e0")
         assert code == 2
@@ -625,20 +635,69 @@ class TestEntryPoints:
         out = capsys.readouterr().out
         assert "counterpoint" in out
 
-    def test_console_script(self, tmp_path):
+    @staticmethod
+    def run_module(module, tmp_path):
         env = {
             "PATH": "/usr/bin:/bin",
             "PYTHONPATH": str(Path(counterpoint.__file__).parents[1]),
             "PYTHONPYCACHEPREFIX": str(tmp_path / "pycache"),  # no bytecode left in the source tree
         }
-        result = subprocess.run(
-            [sys.executable, "-m", "counterpoint.cli_reports", "noll", "0,4,7"],
+        return subprocess.run(
+            [sys.executable, "-m", module, "noll", "0,4,7"],
             capture_output=True,
             text=True,
             env=env,
         )
+
+    def test_console_script(self, tmp_path):
+        result = self.run_module("counterpoint.cli_reports", tmp_path)
         assert result.returncode == 0
         assert "strong verdict: True" in result.stdout
+
+    def test_package_runs_as_a_module(self, tmp_path):
+        result = self.run_module("counterpoint", tmp_path)
+        assert result.returncode == 0
+        assert "strong verdict: True" in result.stdout
+
+
+# The exit code of every exception the package exports: 2 input, 3 model, 4 gate.
+EXIT_CODES = {
+    "DeadEnd": 3, "DegeneratePopulation": 3, "EmptyCategory": 3, "EmptySample": 3,
+    "GateFailure": 4, "ModulusMismatch": 3, "NotInvertible": 3, "NotStrong": 3,
+    "OrderError": 2, "ParseError": 2, "TooFewEvents": 2,
+}
+EXPORTED_EXCEPTIONS = sorted(
+    name for name in counterpoint.__all__
+    if isinstance(getattr(counterpoint, name), type)
+    and issubclass(getattr(counterpoint, name), BaseException)
+)
+
+
+@pytest.mark.parametrize("name", EXPORTED_EXCEPTIONS)
+def test_every_exported_exception_has_a_typed_exit_code(capsys, monkeypatch, name):
+    cls = getattr(counterpoint, name)
+    exc = cls(1, "injected") if cls is counterpoint.ParseError else cls("injected")
+
+    def build_world(d):
+        raise exc
+
+    monkeypatch.setattr(cli_reports, "build_world", build_world)
+    code, out, err = run(capsys, "step", "--dichotomy", "fux", "--from", "0+e3", "--to", "2+e4")
+    assert code == EXIT_CODES[name]
+    assert err.startswith("error: ")
+    assert out == ""
+
+
+@pytest.mark.parametrize("table, tamper", [
+    ("EXPECTED_STEP_HISTOGRAMS", {"fux": {0: 6721, 1: 4991, 2: 5568, 3: 1440, 4: 1152, 5: 864}}),
+    ("FUX_WORKED_STEPS", {((0, 3), (2, 4)): 3}),
+], ids=["histogram", "worked-step"])
+def test_gate_failure_exits_four_with_no_report(capsys, monkeypatch, table, tamper):
+    monkeypatch.setattr(worlds, table, {**getattr(worlds, table), **tamper})
+    code, out, err = run(capsys, "step", "--dichotomy", "fux", "--from", "0+e3", "--to", "2+e4")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: fux world failed its calibration gate: ")
 
 
 PUBLIC_NAMES = [
@@ -647,14 +706,14 @@ PUBLIC_NAMES = [
     "Dichotomy", "DichotomyClass", "DualAffineMap", "DualNumber", "EVEN_WHOLE_TONE",
     "EffectSizeResult", "EmptyCategory", "EmptySample", "FUX_HALF", "FixedCantus",
     "GateFailure", "MAJOR", "MINOR", "MYSTIC_HALF", "Modulus", "ModulusMismatch",
-    "NotInvertible", "NotStrong", "ODD_WHOLE_TONE", "OddModulusUnsupported",
-    "OrderError", "PRESETS", "ParseError", "PopulationSpec", "ResidueAffineMap",
+    "NotInvertible", "NotStrong", "ODD_WHOLE_TONE", "OrderError",
+    "PRESETS", "ParseError", "PopulationSpec", "ResidueAffineMap",
     "RestrictionMode", "SampleSummary", "ScaleRestrictionReport", "ScoreEvent",
     "ScoreFormat", "SdDivisor", "StrengthCertificate", "TooFewEvents",
     "TransitionSequence", "TriadCoverReport", "WalkResult", "World", "WorldMoments",
     "WorldOverlap", "all_class_orbit_sizes", "build_world", "chi_square_gof",
     "chi_square_sf", "chord_endomorphisms", "classify", "counterpoint_symmetries",
-    "effect_size", "extract_transitions", "local_polarity", "mystic_parity",
+    "effect_size", "extract_transitions", "mystic_parity",
     "normal_quantile", "parse_pitch_class_set", "parse_score", "sample_summary",
     "scale_restriction_report", "score_against_world", "step_count", "strength",
     "strong_atlas", "triad_covers", "walk", "whole_tone_affinity",

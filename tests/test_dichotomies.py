@@ -12,7 +12,6 @@ from counterpoint import (
     ODD_WHOLE_TONE,
     Dichotomy,
     Modulus,
-    OddModulusUnsupported,
     ResidueAffineMap,
     all_class_orbit_sizes,
     chord_endomorphisms,
@@ -247,16 +246,14 @@ class TestChordGeometry:
         assert whole_tone_affinity(MYSTIC_HALF) == (5, 1)
         assert whole_tone_affinity(EVEN_WHOLE_TONE) == (6, 0)
         assert whole_tone_affinity({0, 4, 6, 10}) == (4, 0)
-
-    def test_whole_tone_affinity_needs_twelve(self):
-        with pytest.raises(OddModulusUnsupported):
-            whole_tone_affinity({0, 1, 2}, Modulus(14))
+        assert whole_tone_affinity({12, 16, 25, -1}) == (2, 2)  # pitch classes mod 12
 
     def test_mystic_parity(self):
         assert mystic_parity(MYSTIC_HALF) == "EVEN"
         assert mystic_parity({(x + 1) % 12 for x in MYSTIC_HALF}) == "ODD"
         assert mystic_parity(FUX_HALF) == "NotMysticForm"
         assert mystic_parity({0, 1, 2}) == "NotMysticForm"
+        assert mystic_parity({x + 24 for x in MYSTIC_HALF}) == "EVEN"
         # Every six-note set against the definition: an affine image of the
         # mystic half-set with five tones in the even or the odd whole-tone scale.
         mystic_class = {apply_set(m, MYSTIC_HALF) for m in invertible_maps(M12)}
@@ -270,7 +267,3 @@ class TestChordGeometry:
             assert mystic_parity(chord) == expected, sorted(chord)
             tally[expected] += 1
         assert tally == {"EVEN": 24, "ODD": 24, "NotMysticForm": 876}
-
-    def test_mystic_parity_needs_twelve(self):
-        with pytest.raises(OddModulusUnsupported):
-            mystic_parity({0, 1, 2, 3, 4, 5, 6}, Modulus(14))

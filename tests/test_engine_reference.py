@@ -30,11 +30,11 @@ from counterpoint import (
     Modulus,
     build_world,
     counterpoint_symmetries,
-    local_polarity,
     strong_atlas,
 )
 from counterpoint import worlds
 from counterpoint.model_tables import mystic_class_count
+from oracles import local_polarity
 
 
 def overlap_rows(modulus: Modulus, species: frozenset) -> dict:

@@ -197,6 +197,8 @@ class TestParseScore:
         with pytest.raises(ParseError) as info:
             parse_score("measure,beat,note\n1,1,60\n", ScoreFormat.DRONE)
         assert info.value.line == 1
+        with pytest.raises(ParseError, match="^line 1: empty input$"):
+            parse_score("", ScoreFormat.DRONE)
 
     def test_field_count_error_reports_its_line(self):
         text = f"{DRONE_HEADER}\n1,1,60\n1,2\n"

@@ -23,13 +23,12 @@ from counterpoint import (
     DualNumber,
     Modulus,
     build_world,
-    local_polarity,
     step_count,
     strong_atlas,
     walk,
 )
 from counterpoint.model_tables import mystic_class_count
-from oracles import image, reference_walk
+from oracles import image, local_polarity, reference_walk
 
 MODULI = (6, 8, 10, 12, 14)
 PROPERTY_SETTINGS = settings(max_examples=15, deadline=None)

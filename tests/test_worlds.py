@@ -19,7 +19,6 @@ from counterpoint import (
     World,
     build_world,
     counterpoint_symmetries,
-    local_polarity,
     scale_restriction_report,
     step_count,
     strong_atlas,
@@ -30,7 +29,13 @@ from counterpoint import (
     world_overlap,
 )
 from counterpoint import model_tables
-from oracles import commutes_algebraic, commutes_pointwise, enumerate_dual_symmetries, image
+from oracles import (
+    commutes_algebraic,
+    commutes_pointwise,
+    enumerate_dual_symmetries,
+    image,
+    local_polarity,
+)
 
 FUX_HISTOGRAM = {0: 6720, 1: 4992, 2: 5568, 3: 1440, 4: 1152, 5: 864}
 MYSTIC_HISTOGRAM = {0: 16128, 1: 576, 2: 2880, 3: 0, 4: 1152, 5: 0}
@@ -67,8 +72,11 @@ class TestLocalPolarity:
                 assert pol.compose(pol).is_identity()
 
     def test_weak_dichotomy_rejected(self):
+        weak = Dichotomy(EVEN_WHOLE_TONE)
+        with pytest.raises(NotStrong, match="not strong with a polarity"):
+            counterpoint_symmetries(weak, DualNumber(0, 0))
         with pytest.raises(NotStrong):
-            local_polarity(Dichotomy(EVEN_WHOLE_TONE), 0)
+            local_polarity(weak, 0)
 
 
 class TestCommutation:
@@ -151,6 +159,8 @@ class TestModulusChecks:
     def test_successors_checks_the_interval(self, fux_world):
         with pytest.raises(ModulusMismatch):
             fux_world.successors(DualNumber(0, 3, self.MOD10))
+        with pytest.raises(ModulusMismatch):
+            walk(fux_world, DualNumber(0, 3, self.MOD10), 4, 0)
 
     def test_step_count_checks_both_ends(self):
         d = Dichotomy.fux()
@@ -158,6 +168,8 @@ class TestModulusChecks:
             step_count(d, DualNumber(0, 3, self.MOD10), DualNumber(2, 4, self.MOD10))
         with pytest.raises(ModulusMismatch):
             step_count(d, DualNumber(0, 3), DualNumber(2, 4, self.MOD10))
+        with pytest.raises(ModulusMismatch):
+            counterpoint_symmetries(d, DualNumber(0, 3, self.MOD10))
 
 
 class TestWorldConstruction:
@@ -224,6 +236,13 @@ class TestWorldConstruction:
             worlds_module.EXPECTED_STEP_HISTOGRAMS, "fux", tampered
         )
         with pytest.raises(GateFailure):
+            build_world(Dichotomy.fux())
+
+    def test_worked_step_gate_names_the_step(self, monkeypatch):
+        import counterpoint.worlds as worlds_module
+
+        monkeypatch.setattr(worlds_module, "FUX_WORKED_STEPS", {((0, 3), (2, 4)): 3})
+        with pytest.raises(GateFailure, match=r"step 0\+e3 -> 2\+e4 has count 2, expected 3"):
             build_world(Dichotomy.fux())
 
 
