@@ -76,7 +76,6 @@ from .stats import (
     chi_square_gof,
     chi_square_sf,
     effect_size,
-    normal_quantile,
     sample_summary,
 )
 from .score_io import (

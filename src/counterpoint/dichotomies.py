@@ -36,10 +36,13 @@ def parse_pitch_class_set(text: str, modulus: Modulus = Modulus()) -> frozenset:
     """Parse a comma-separated residue list such as ``0,2,4,6,8,11``.
 
     Items are residues in 0..n-1, spaces around them allowed.  Preset names
-    ``fux`` and ``mystic`` resolve to their half-sets; "" parses to the empty set.
+    ``fux`` and ``mystic`` resolve to their half-sets when n = 12 and raise
+    ValueError at any other n; "" parses to the empty set.
     """
     name = text.strip().lower()
     if name in PRESETS:
+        if modulus.n != 12:
+            raise ValueError(f"preset {name!r} is a set of residues mod 12, not mod {modulus.n}")
         return PRESETS[name]
     if not name:
         return frozenset()

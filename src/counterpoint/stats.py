@@ -4,10 +4,11 @@ Populations come from world histograms (exact rational category
 probabilities); a sample is built one way, by ``sample_summary`` from a
 sequence of per-step symmetry counts.  Both are summarized from a
 ``{value: frequency}`` tally in exact arithmetic.  The
-module provides standardized effect sizes with normal-quantile confidence
-intervals and a chi-square goodness-of-fit test with optional Yates
-continuity correction, backed by a self-contained chi-square survival
-function (regularized upper incomplete gamma).
+module provides standardized effect sizes with confidence intervals whose
+normal quantile comes from ``statistics.NormalDist.inv_cdf``, and a
+chi-square goodness-of-fit test with optional Yates continuity correction,
+backed by a self-contained chi-square survival function (regularized upper
+incomplete gamma).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import operator
 from collections import Counter
 from enum import Enum
 from fractions import Fraction
+from statistics import NormalDist
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .residue_algebra import _fill, _Value
@@ -111,55 +113,6 @@ def sample_summary(
     )
 
 
-# Acklam's rational approximation to the standard normal quantile, refined
-# with one Halley step through math.erfc for close-to-double precision.  The
-# tail below _P_LOW uses the _C/_D branch; the one above 1 - _P_LOW mirrors it.
-_P_LOW = 0.02425
-_A = (
-    -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-    1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
-)
-_B = (
-    -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-    6.680131188771972e01, -1.328068155288572e01,
-)
-_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-    -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00,
-)
-_D = (
-    7.784695709041462e-03, 3.224671290700398e-01,
-    2.445134137142996e00, 3.754408661907416e00,
-)
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse of the standard normal CDF on (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile argument must lie in (0, 1), got {p}")
-    if p > 1 - _P_LOW:
-        # 1 - p is exact here (Sterbenz), and the lower tail refines accurately.
-        return -normal_quantile(1 - p)
-    if p < _P_LOW:
-        q = math.sqrt(-2 * math.log(p))
-        x = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / (
-            (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1
-        )
-    else:
-        q = p - 0.5
-        r = q * q
-        x = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / (
-            ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1
-        )
-    if x * x > 1400:
-        # p below about 1e-306: exp(x*x/2) nears overflow, so the rational
-        # approximation stands alone (relative error under 1.2e-9).
-        return x
-    err = 0.5 * math.erfc(-x / math.sqrt(2)) - p
-    u = err * math.sqrt(2 * math.pi) * math.exp(x * x / 2)
-    return x - u / (1 + x * u / 2)
-
-
 class EffectSizeResult(_Value):
     __slots__ = ("d", "ci_low", "ci_high", "alpha", "z")
 
@@ -175,14 +128,13 @@ def effect_size(
     sample: SampleSummary, pop: PopulationSpec, alpha: float = 0.10
 ) -> EffectSizeResult:
     """Standardized deviation d = (sample mean - mu)/sigma with CI d +- z/sqrt(n)."""
-    if not 0.0 < alpha < 1.0:
+    # Checked on alpha / 2, so an alpha whose half underflows to 0.0 fails here too.
+    if not 0.0 < alpha / 2 < 0.5:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     if pop.sd == 0:
         raise DegeneratePopulation("population sd is zero")
     d = float((sample.mean - pop.mean)) / pop.sd
-    # 1 - alpha/2 loses alpha's digits, so a small alpha/2 is read from the lower tail.
-    tail = alpha / 2
-    z = -normal_quantile(tail) if tail < _P_LOW else normal_quantile(1 - tail)
+    z = -NormalDist().inv_cdf(alpha / 2)
     half = z / math.sqrt(sample.n)
     return EffectSizeResult(d, d - half, d + half, alpha, z)
 

@@ -271,7 +271,7 @@ class TestAnalyze:
         assert out == ""
         assert f"--cantus-pc {pc} is not a pitch class in 0..11" in err
 
-    @pytest.mark.parametrize("alpha", ["0", "1.5"])
+    @pytest.mark.parametrize("alpha", ["0", "1.5", "5e-324"])
     def test_alpha_outside_unit_interval_is_input_error(self, capsys, score_file, alpha):
         code, out, err = run(
             capsys,
@@ -606,6 +606,8 @@ GOLDEN_STDOUT = [
      "06067779713db741b204c816c7da9cc3bba05bccc84341914eaa6d99e368131b"),
     ("analyze --file witness2.csv --format TWO_VOICE --world mystic",
      "f056e7142f5049583eccb1176aa22543cd4636c0699a52097ebbc982ad3dd042"),
+    ("analyze --file witness1.csv --format TWO_VOICE --world mystic --alpha 0.01 --output JSON",
+     "5eab0575e07bf32417b505e4662833fcad586945edc2d3cfc77ac4e91d2d2990"),
 ]
 
 
@@ -714,7 +716,7 @@ PUBLIC_NAMES = [
     "WorldOverlap", "all_class_orbit_sizes", "build_world", "chi_square_gof",
     "chi_square_sf", "chord_endomorphisms", "classify", "counterpoint_symmetries",
     "effect_size", "extract_transitions", "mystic_parity",
-    "normal_quantile", "parse_pitch_class_set", "parse_score", "sample_summary",
+    "parse_pitch_class_set", "parse_score", "sample_summary",
     "scale_restriction_report", "score_against_world", "step_count", "strength",
     "strong_atlas", "triad_covers", "walk", "whole_tone_affinity",
     "world_histogram_csv", "world_matrix_csv", "world_moments", "world_overlap",

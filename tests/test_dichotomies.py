@@ -52,6 +52,15 @@ class TestDichotomyBasics:
         with pytest.raises(ValueError, match="malformed pitch-class set"):
             parse_pitch_class_set(text)
 
+    @pytest.mark.parametrize("n", [8, 10, 14])
+    @pytest.mark.parametrize("preset", ["fux", "mystic"])
+    def test_presets_are_sets_mod_twelve_only(self, preset, n):
+        message = f"preset '{preset}' is a set of residues mod 12, not mod {n}"
+        with pytest.raises(ValueError, match=message):
+            parse_pitch_class_set(preset, Modulus(n))
+        with pytest.raises(ValueError, match=message):
+            Dichotomy.parse(preset, Modulus(n))
+
     def test_parse_keeps_spaces_around_items(self):
         assert parse_pitch_class_set("0, 4, 7") == frozenset({0, 4, 7})
         assert parse_pitch_class_set(" fux ") == FUX_HALF

@@ -3,7 +3,7 @@ from fractions import Fraction
 from statistics import NormalDist
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from counterpoint import (
@@ -15,10 +15,8 @@ from counterpoint import (
     chi_square_gof,
     chi_square_sf,
     effect_size,
-    normal_quantile,
     sample_summary,
 )
-from counterpoint.stats import _P_LOW
 from paper_witnesses import witness_sample
 
 FUX_HISTOGRAM = {0: 6720, 1: 4992, 2: 5568, 3: 1440, 4: 1152, 5: 864}
@@ -107,41 +105,15 @@ class TestSampleSummary:
         assert s.divisor is divisor
 
 
-class TestNormalQuantile:
-    def test_ninety_percent_two_sided_point(self):
-        assert abs(normal_quantile(0.95) - 1.6448536269514726) < 1e-9
-
-    def test_median(self):
-        assert abs(normal_quantile(0.5)) < 1e-12
-
-    @given(p=st.floats(min_value=0.005, max_value=0.995))
-    def test_antisymmetry(self, p):
-        assert abs(normal_quantile(p) + normal_quantile(1 - p)) < 1e-9
-
-    @given(p=st.floats(min_value=1 - _P_LOW, max_value=1.0, exclude_min=True, exclude_max=True))
-    def test_upper_tail_is_exactly_the_mirrored_lower_tail(self, p):
-        assert normal_quantile(p) == -normal_quantile(1 - p)
-
-    @given(p=st.floats(min_value=0.005, max_value=0.995))
-    def test_round_trip_through_normal_cdf(self, p):
-        z = normal_quantile(p)
-        cdf = 0.5 * math.erfc(-z / math.sqrt(2))
-        assert abs(cdf - p) < 1e-9
-
-    @given(p=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
-    def test_finite_on_the_whole_open_interval(self, p):
-        assert math.isfinite(normal_quantile(p))
-
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5])
-    def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            normal_quantile(bad)
-
-
 def _twelve_summing_to(total: int) -> list:
     """Twelve integer counts, as even as possible, with the given sum."""
     q, r = divmod(total, 12)
     return [q + 1] * r + [q] * (12 - r)
+
+
+def _z(alpha: float) -> float:
+    pop = PopulationSpec.from_histogram(FUX_HISTOGRAM)
+    return effect_size(sample_summary([2] * 30, pop.support), pop, alpha).z
 
 
 class TestEffectSize:
@@ -197,17 +169,35 @@ class TestEffectSize:
 
     @pytest.mark.parametrize("alpha", [1e-3, 1e-6, 1e-10, 1e-14, 1e-300, 1e-323])
     def test_small_alpha_matches_normal_dist(self, alpha):
-        pop = PopulationSpec.from_histogram(FUX_HISTOGRAM)
-        z = effect_size(sample_summary([2] * 30, pop.support), pop, alpha).z
-        # Below alpha/2 = 1e-306 normal_quantile's rational approximation stands unrefined.
-        rel = 1e-12 if alpha >= 1e-300 else 1e-8
-        assert math.isclose(z, -NormalDist().inv_cdf(alpha / 2), rel_tol=rel)
+        assert _z(alpha) == -NormalDist().inv_cdf(alpha / 2)
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan")])
+    @pytest.mark.parametrize("alpha, z", [(0.10, 1.6448536269514726), (0.05, 1.9599639845400538)])
+    def test_z_at_the_usual_alphas(self, alpha, z):
+        assert _z(alpha) == z
+
+    @given(alpha=st.floats(min_value=1e-323, max_value=1.0, exclude_max=True))
+    @example(alpha=1e-323)
+    def test_z_is_the_normal_quantile_of_half_alpha(self, alpha):
+        z = _z(alpha)
+        assert math.isfinite(z) and z > 0
+        assert z == -NormalDist().inv_cdf(alpha / 2)
+
+    @given(
+        a=st.floats(min_value=1e-323, max_value=1.0, exclude_max=True),
+        b=st.floats(min_value=1e-323, max_value=1.0, exclude_max=True),
+    )
+    @example(a=1e-323, b=1.5e-323)
+    def test_z_falls_as_alpha_rises(self, a, b):
+        # Neighbouring floats can round to one z, so the pair differs by more than that.
+        low, high = sorted((a, b))
+        assume(high > low * (1 + 1e-9))
+        assert _z(low) > _z(high)
+
+    @pytest.mark.parametrize("alpha", [0.0, 5e-324, 1.0, 1.5, -0.1, float("nan")])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
-        pop = PopulationSpec.from_histogram(FUX_HISTOGRAM)
+        # 5e-324 is inside (0, 1), but its half underflows to 0.0.
         with pytest.raises(ValueError, match="alpha"):
-            effect_size(sample_summary([2] * 30, pop.support), pop, alpha)
+            _z(alpha)
 
 
 class TestChiSquareGof:
