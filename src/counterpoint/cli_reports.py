@@ -230,6 +230,8 @@ def cmd_analyze(args) -> dict:
     if args.cantus_policy == "column":
         if args.cantus_pc is not None:
             raise ValueError("--cantus-pc applies only with --cantus-policy fixed")
+        if fmt is ScoreFormat.DRONE:
+            raise ValueError("DRONE input has no cantus; use --cantus-policy fixed --cantus-pc PC")
         policy, policy_text = COLUMN_CANTUS, "COLUMN_CANTUS"
     else:
         if args.cantus_pc is None:
@@ -346,7 +348,7 @@ def cmd_noll(args) -> dict:
 
 def cmd_scale_report(args) -> dict:
     world = build_world(Dichotomy.parse(args.dichotomy))
-    scale = parse_pitch_class_set(args.scale) if args.scale else frozenset()
+    scale = parse_pitch_class_set(args.scale)
     report = scale_restriction_report(world, scale, RestrictionMode[args.mode])
     return {
         "TEXT": [

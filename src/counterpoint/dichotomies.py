@@ -35,9 +35,9 @@ MINOR = (0, 3, 7)
 def parse_pitch_class_set(text: str, modulus: Modulus = Modulus()) -> frozenset:
     """Parse a comma-separated residue list such as ``0,2,4,6,8,11``.
 
-    Items are residues in 0..n-1, spaces around them allowed.  Preset names
-    ``fux`` and ``mystic`` resolve to their half-sets when n = 12 and raise
-    ValueError at any other n; "" parses to the empty set.
+    Items are distinct residues in 0..n-1, spaces around them allowed.
+    Preset names ``fux`` and ``mystic`` resolve to their half-sets when
+    n = 12 and raise ValueError at any other n; "" parses to the empty set.
     """
     name = text.strip().lower()
     if name in PRESETS:
@@ -46,10 +46,16 @@ def parse_pitch_class_set(text: str, modulus: Modulus = Modulus()) -> frozenset:
         return PRESETS[name]
     if not name:
         return frozenset()
+    residues = set()
     try:
-        return frozenset(modulus.parse_residue(part.strip()) for part in text.split(","))
+        for part in text.split(","):
+            r = modulus.parse_residue(part.strip())
+            if r in residues:
+                raise ValueError(f"residue {r} listed twice")
+            residues.add(r)
     except ValueError as exc:
         raise ValueError(f"malformed pitch-class set {text!r}: {exc}") from None
+    return frozenset(residues)
 
 
 class Dichotomy(_Value):

@@ -49,7 +49,7 @@ _TABLE_DIGITS = (
 
 # Decoded bytewise: the translation maps each ASCII digit to its value.
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
-MYSTIC_STEP_TABLE = tuple(_TABLE_DIGITS.encode().translate(_DIGIT_VALUES))
+MYSTIC_STEP_TABLE = _TABLE_DIGITS.encode().translate(_DIGIT_VALUES)
 assert len(MYSTIC_STEP_TABLE) == 1728
 
 
@@ -59,19 +59,16 @@ def mystic_class_count(k: int, d: int, l: int) -> int:
 
 
 # Build-time gates.  A preset world whose histogram deviates from these
-# counts, or (for the engine-built Fux world) whose worked steps deviate,
-# is rejected with GateFailure.
+# counts, or whose worked steps deviate, is rejected with GateFailure.
 EXPECTED_STEP_HISTOGRAMS = {
     "fux": {0: 6720, 1: 4992, 2: 5568, 3: 1440, 4: 1152, 5: 864},
     "mystic": {0: 16128, 1: 576, 2: 2880, 3: 0, 4: 1152, 5: 0},
 }
 
-# ((x, k), (y, l)) -> expected symmetry count
-FUX_WORKED_STEPS = {
-    ((0, 3), (2, 4)): 2,
-    ((0, 7), (2, 7)): 0,
+# label -> {((x, k), (y, l)): expected symmetry count}
+WORKED_STEPS = {
+    "fux": {((0, 3), (2, 4)): 2, ((0, 7), (2, 7)): 0},
 }
-FUX_MAX_STEP_COUNT = 5
 
 # Identifiers of the frozen rule variants, embedded in report metadata so a
 # report names the model revision that produced it.

@@ -58,10 +58,9 @@ rotation of one slab, so the histogram is n times that of the class table.
 species, marked or not, as an independent recount of the table.
 
 Every build is gated: the Fuxian world is computed by this engine and must
-reproduce its frozen histogram, worked steps and maximum; the mystic world's
-class table is the frozen step-class table, and the world is re-checked
-against its histogram.  A mismatch raises GateFailure instead of returning
-a world.
+reproduce its frozen histogram and worked steps; the mystic world's class
+table is the frozen step-class table, and the world is re-checked against
+its histogram.  A mismatch raises GateFailure instead of returning a world.
 """
 
 from __future__ import annotations
@@ -84,12 +83,11 @@ from .dichotomies import (
 )
 from .model_tables import (
     EXPECTED_STEP_HISTOGRAMS,
-    FUX_MAX_STEP_COUNT,
     FUX_MODEL_VARIANT,
-    FUX_WORKED_STEPS,
     MYSTIC_MODEL_VARIANT,
     MYSTIC_SD_NOTE,
     MYSTIC_STEP_TABLE,
+    WORKED_STEPS,
 )
 from .residue_algebra import (
     DualAffineMap,
@@ -388,20 +386,13 @@ def _gate(label: str, n: int, counts: tuple, histogram: dict) -> None:
             f"{label} world failed its calibration gate: histogram {histogram} "
             f"!= expected {expected}"
         )
-    if label != "fux":
-        return
-    for ((x, k), (y, l)), want in FUX_WORKED_STEPS.items():
+    for ((x, k), (y, l)), want in WORKED_STEPS.get(label, {}).items():
         got = counts[n * x + k][n * y + l]
         if got != want:
             raise GateFailure(
-                f"fux world failed its calibration gate: step "
+                f"{label} world failed its calibration gate: step "
                 f"{x}+e{k} -> {y}+e{l} has count {got}, expected {want}"
             )
-    if max(c for c, f in histogram.items() if f) != FUX_MAX_STEP_COUNT:
-        raise GateFailure(
-            "fux world failed its calibration gate: maximum step count "
-            f"!= {FUX_MAX_STEP_COUNT}"
-        )
 
 
 def build_world(d: Dichotomy) -> World:
@@ -413,11 +404,10 @@ def build_world(d: Dichotomy) -> World:
     mismatch); other strong dichotomies are computed by the engine without
     a calibration gate.
     """
-    _polarity_or_raise(d)
     n = d.modulus.n
     if n == 12 and d.half == MYSTIC_HALF:
         label, variant = "mystic", MYSTIC_MODEL_VARIANT
-        slabs = tuple(bytes(MYSTIC_STEP_TABLE[n * n * k : n * n * (k + 1)]) for k in range(n))
+        slabs = tuple(MYSTIC_STEP_TABLE[n * n * k : n * n * (k + 1)] for k in range(n))
     else:
         label = "fux" if n == 12 and d.half == FUX_HALF else d.render()
         variant = FUX_MODEL_VARIANT

@@ -335,6 +335,17 @@ class TestAnalyze:
         assert out == ""
         assert "--cantus-pc applies only with --cantus-policy fixed" in err
 
+    def test_drone_under_column_policy_names_the_flags(self, capsys, tmp_path):
+        path = tmp_path / "drone.csv"
+        path.write_text("measure,beat,pitch\n1,1,60\n2,1,62\n3,1,64\n", encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            "analyze", "--file", str(path), "--format", "DRONE", "--world", "fux",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--cantus-policy fixed --cantus-pc" in err
+
     def test_one_event_score_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("measure,beat,cantus,discant\n1,1,60,63\n", encoding="utf-8")
@@ -449,6 +460,11 @@ class TestScaleReport:
             [0, 0, 4], [0, 0, 6], [0, 2, 0], [0, 2, 4],
         ]
 
+    def test_empty_scale_has_no_steps(self, capsys):
+        code, out, _ = run(capsys, "scale-report", "--dichotomy", "fux", "--scale", "")
+        assert code == 0
+        assert "steps in domain: 0" in out
+
 
 class TestResidueText:
     """Every residue read from the command line is ASCII digits naming 0..11."""
@@ -470,6 +486,9 @@ class TestResidueText:
         ("noll", "0,4,\u0667"),
         ("step", "--dichotomy", "fux", "--from", "0+e3\n", "--to", "2+e4"),
         ("walk", "--dichotomy", "fux", "--start", "\u0660+e3"),
+        ("step", "--dichotomy", "0,3,4,7,8,9,9", "--from", "0+e3", "--to", "2+e4"),
+        ("noll", "0,4,4,7"),
+        ("scale-report", "--dichotomy", "fux", "--scale", "1,1,3"),
     ])
     def test_malformed_residue_is_input_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -692,7 +711,7 @@ def test_every_exported_exception_has_a_typed_exit_code(capsys, monkeypatch, nam
 
 @pytest.mark.parametrize("table, tamper", [
     ("EXPECTED_STEP_HISTOGRAMS", {"fux": {0: 6721, 1: 4991, 2: 5568, 3: 1440, 4: 1152, 5: 864}}),
-    ("FUX_WORKED_STEPS", {((0, 3), (2, 4)): 3}),
+    ("WORKED_STEPS", {"fux": {((0, 3), (2, 4)): 3}}),
 ], ids=["histogram", "worked-step"])
 def test_gate_failure_exits_four_with_no_report(capsys, monkeypatch, table, tamper):
     monkeypatch.setattr(worlds, table, {**getattr(worlds, table), **tamper})

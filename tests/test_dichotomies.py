@@ -47,7 +47,10 @@ class TestDichotomyBasics:
         with pytest.raises(ValueError, match="malformed pitch-class set"):
             parse_pitch_class_set("0,three,4")
 
-    @pytest.mark.parametrize("text", ["0,4,19", "0,3,4,7,8,21", "12", "0,4,7,-1", "0,+4", "0,1_1", "0,\u0664"])
+    @pytest.mark.parametrize("text", [
+        "0,4,19", "0,3,4,7,8,21", "12", "0,4,7,-1", "0,+4", "0,1_1", "0,\u0664",
+        "0,3,4,7,8,9,9", "0,4,4,7", "1,1,3",
+    ])
     def test_parse_reads_residues_only(self, text):
         with pytest.raises(ValueError, match="malformed pitch-class set"):
             parse_pitch_class_set(text)

@@ -187,8 +187,8 @@ class TestWorldConstruction:
 
     def test_mystic_step_table_decodes_its_digits(self):
         table = model_tables.MYSTIC_STEP_TABLE
-        assert type(table) is tuple and all(type(c) is int for c in table)
-        assert table == tuple(int(ch) for ch in model_tables._TABLE_DIGITS)
+        assert type(table) is bytes
+        assert table == bytes(int(ch) for ch in model_tables._TABLE_DIGITS)
 
     def test_mystic_histogram_pads_empty_bins(self, mystic_world):
         assert mystic_world.histogram[3] == 0
@@ -241,9 +241,27 @@ class TestWorldConstruction:
     def test_worked_step_gate_names_the_step(self, monkeypatch):
         import counterpoint.worlds as worlds_module
 
-        monkeypatch.setattr(worlds_module, "FUX_WORKED_STEPS", {((0, 3), (2, 4)): 3})
+        monkeypatch.setitem(worlds_module.WORKED_STEPS, "fux", {((0, 3), (2, 4)): 3})
         with pytest.raises(GateFailure, match=r"step 0\+e3 -> 2\+e4 has count 2, expected 3"):
             build_world(Dichotomy.fux())
+
+    def test_gate_rejects_a_count_above_the_expected_maximum(self, monkeypatch):
+        import counterpoint.worlds as worlds_module
+
+        slabs = list(worlds_module._engine_class_table(Dichotomy.fux()))
+        slabs[3] = b"\x06" + slabs[3][1:]
+        monkeypatch.setattr(worlds_module, "_engine_class_table", lambda d: tuple(slabs))
+        with pytest.raises(GateFailure, match=r"fux world failed its calibration gate: histogram"):
+            build_world(Dichotomy.fux())
+
+    def test_worked_step_gate_is_label_generic(self, monkeypatch):
+        import counterpoint.worlds as worlds_module
+
+        monkeypatch.setitem(worlds_module.WORKED_STEPS, "mystic", {((0, 0), (0, 0)): 9})
+        message = (r"^mystic world failed its calibration gate: "
+                   r"step 0\+e0 -> 0\+e0 has count 4, expected 9$")
+        with pytest.raises(GateFailure, match=message):
+            build_world(Dichotomy.mystic())
 
 
 class TestWorldMoments:
