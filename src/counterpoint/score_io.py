@@ -196,6 +196,7 @@ def extract_transitions(
     xi = (cantus mod n) + e((pitch - cantus) mod n).  CONSECUTIVE dedup
     drops a step equal to the step just before it.
     """
+    dedup = Dedup(dedup)
     if len(events) < 2:
         raise TooFewEvents(f"need at least 2 events, got {len(events)}")
     if isinstance(policy, FixedCantus):

@@ -97,6 +97,7 @@ def sample_summary(
     sd_divisor: SdDivisor = SdDivisor.N,
 ) -> SampleSummary:
     """Summarize raw symmetry counts over a population support."""
+    sd_divisor = SdDivisor(sd_divisor)
     counts = list(counts)
     tally = Counter(counts)
     n, mean, variance = _moments(tally, "no observations")

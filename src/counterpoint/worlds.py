@@ -27,9 +27,9 @@ sum_y J[a][(b*y + t) mod n] with J[a][w] = |(a*S + w) cap S|; as y -> b*y
 covers the multiples of g = gcd(b, n) g times each, it equals
 g * sum_{j < n/g} J[a][(t mod g) + j*g].  One candidate table per species
 holds, for each unit a and each t solving C2, the top C3 score, every b
-reaching it and the sources t + a*O it admits.  Neither C2 nor C3 involves
-k, so the table is ranked once, from the best down, and each candidate goes
-to the sources it admits that no better candidate has taken.
+reaching it and the sources t + a*O it admits.  C1 does not involve b, so
+the symmetries of 0+ek are the candidates admitting k whose top score is
+the best among them, each with every b at its top.
 
 Every other cantus is reached by conjugating with the translation by x,
 which carries the fiber pool, the transported polarity and both species
@@ -54,8 +54,8 @@ pull-back count, so T[vk + u][v*d][v*l + u] = T[k][d][l]; as block v*d is
 block d, the slab of the unmarked source 0+e(vk + u) is slab k with lane l
 of each distinct block moved to v*l + u.  Each count-matrix row is a
 rotation of one slab, so the histogram is n times that of the class table.
-``counterpoint_symmetries`` and ``step_count`` rank the source's own
-species, marked or not, as an independent recount of the table.
+``counterpoint_symmetries`` and ``step_count`` apply the same rule to the
+source itself, marked or not, as an independent recount of the table.
 
 Every build is gated: the Fuxian world is computed by this engine and must
 reproduce its frozen histogram and worked steps; the mystic world's class
@@ -152,34 +152,20 @@ def _candidates(d: Dichotomy, species: frozenset) -> tuple:
     return tuple(candidates)
 
 
-def _species_parts(d: Dichotomy, sources) -> dict:
-    """k -> (a, b, t) of every symmetry (a, b, 0, t) of 0+ek, ascending, for k in sources.
+def _source_parts(d: Dichotomy, k: int) -> list:
+    """(a, b, t) of every symmetry (a, b, 0, t) of 0+ek, unsorted.
 
-    The candidates (:func:`_candidates`) do not depend on k, so they are
-    ranked by their top score and walked from the best down: each goes to
-    the k it admits (C1) that no better candidate has taken, with the b of
-    every g tied at its top.  ``sources`` lie in one species; a candidate
-    that admits none of them is not ranked, and a source no candidate
-    reaches gets an empty list.
+    C1 keeps the candidates (:func:`_candidates`) of k's species that admit
+    k, and C3 those of them with the best top score, each with every b tied
+    at its top.  A source no candidate admits gets an empty list.
     """
-    species = _species(d, next(iter(sources)))
-    ranks: dict = {}
-    for a, t, top, bs, admits in _candidates(d, species):
-        reach = admits.intersection(sources)
-        if reach:
-            ranks.setdefault(top, []).append((a, bs, t, reach))
-    best = {k: [] for k in sources}
-    left = set(sources)
-    for score in sorted(ranks, reverse=True):
-        taken = set()
-        for a, bs, t, reach in ranks[score]:
-            for k in reach & left:
-                best[k] += [(a, b, t) for b in bs]
-                taken.add(k)
-        left -= taken
-        if not left:
-            break
-    return {k: sorted(found) for k, found in best.items()}
+    best, parts = -1, []
+    for a, t, top, bs, admits in _candidates(d, _species(d, k)):
+        if k in admits and top >= best:
+            if top > best:
+                best, parts = top, []
+            parts += [(a, b, t) for b in bs]
+    return parts
 
 
 def counterpoint_symmetries(d: Dichotomy, xi: DualNumber) -> list:
@@ -195,7 +181,7 @@ def counterpoint_symmetries(d: Dichotomy, xi: DualNumber) -> list:
         raise ModulusMismatch("interval and dichotomy moduli differ")
     m = d.modulus
     n, x = m.n, xi.a
-    parts = _species_parts(d, {xi.b})[xi.b]
+    parts = _source_parts(d, xi.b)
     return [
         DualAffineMap(a, b, s, t, m)
         for a, b, s, t in sorted((a, b, x * (1 - a) % n, (t - b * x) % n) for a, b, t in parts)
@@ -326,8 +312,8 @@ def _histogram(slabs: Sequence[bytes], n: int, pad_to: int) -> dict:
 def _engine_class_table(d: Dichotomy) -> tuple:
     """Slab k holds T[k][n*d + l] = count(0+ek -> d+el) as n^2 bytes.
 
-    The n/2 marked sources share one ranking of their species S
-    (:func:`_species_parts`).  Block y of marked slab k adds, for each
+    The n/2 marked sources, of species S, each take their symmetries from
+    :func:`_source_parts`.  Block y of marked slab k adds, for each
     symmetry (a, b, 0, t), the row R_a[(b*y + t) mod n], whose byte lane l
     says whether l lies in a*S + (b*y + t) (see the module docstring).
     R_a[c] is a shift of one integer per unit a read, the lanes of a*S
@@ -350,7 +336,7 @@ def _engine_class_table(d: Dichotomy) -> tuple:
     lanes = itemgetter(*[vi * (l - u) % n for l in range(n)])
     # R_a[c] is the low n lanes of spread[a] shifted right by c lanes.
     full = (1 << 8 * n) - 1
-    by_source = _species_parts(d, half)
+    by_source = {k: _source_parts(d, k) for k in half}
     spread = {
         a: sum(1 << 8 * (n - 1 - a * m % n) for m in half) * (full + 2)
         for a in {a for parts in by_source.values() for a, _, _ in parts}
@@ -494,6 +480,7 @@ def scale_restriction_report(
     """
     n = w.modulus.n
     scale = tuple(sorted({w.modulus.reduce(p) for p in scale}))
+    mode = RestrictionMode(mode)
     both = mode is RestrictionMode.BOTH_VOICES
     # Voices in (x, k) order, so the forbidden steps come out in (x, k, y, l) order.
     voices = [
@@ -529,12 +516,15 @@ def walk(w: World, start: DualNumber, length: int, seed: int) -> WalkResult:
     makes on Python 3.10-3.13, so a seed gives the path ``rng.choice`` per
     step would; the golden digests in the tests freeze the paths.
 
-    Raises ValueError for a negative length and DeadEnd when the start
-    itself has no valid successor; a dead end reached later stops the walk
-    early and is reported in the result.
+    Raises ValueError for a negative length or seed (``random.Random``
+    would seed -7 as 7) and DeadEnd when the start itself has no valid
+    successor; a dead end reached later stops the walk early and is
+    reported in the result.
     """
     if length < 0:
         raise ValueError(f"walk length must be non-negative, got {length}")
+    if seed < 0:
+        raise ValueError(f"walk seed must be non-negative, got {seed}")
     if start.modulus != w.modulus:
         raise ModulusMismatch("start interval and world moduli differ")
     table = w._successor_table

@@ -537,9 +537,10 @@ class TestWalk:
         assert out == ""
         assert "outside 0..11" in err
 
-    def test_negative_length_is_input_error(self, capsys):
+    @pytest.mark.parametrize("option, value", [("--length", "-5"), ("--seed", "-7")])
+    def test_negative_length_is_input_error(self, capsys, option, value):
         code, out, err = run(
-            capsys, "walk", "--dichotomy", "fux", "--start", "0+e3", "--length", "-5"
+            capsys, "walk", "--dichotomy", "fux", "--start", "0+e3", option, value
         )
         assert code == 2
         assert out == ""

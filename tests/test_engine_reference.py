@@ -5,17 +5,18 @@ overlap score over all n cantus positions, and fills each class-table cell
 by counting pull-backs one by one, for every one of the n sources 0+ek.
 The engine solves cantus 0 only, from one candidate table per species (each
 t solving C2, scored by the gcd closed form of C3 and admitting the sources
-t + a*O of C1), ranked once and handed out best first.  It reaches every
-other cantus by conjugating with a translation, and sums slabs from species
-rows for the n/2 marked sources only, one block per divisor g of n: block
-d is block gcd(d, n).  The other n/2 slabs it gets from the polarity
+t + a*O of C1): a source's symmetries are the candidates admitting it with
+the best top score among them, each with every b at its top.  It reaches
+every other cantus by conjugating with a translation, and sums slabs from
+species rows for the n/2 marked sources only, one block per divisor g of n:
+block d is block gcd(d, n).  The other n/2 slabs it gets from the polarity
 identity T[vk + u][v*d][v*l + u] = T[k][d][l] of the polarity e^u.v: slab
-vk + u is slab k with lane l of each block moved to v*l + u.  Both must give the same symmetries and the same
-bytes, so the byte comparison checks every derived block and slab against a
-directly solved one.  The identity itself is checked on the symmetries, on
-the reference tables and on the built worlds, for the canonical strong
-classes and for seeded affine images of them, whose polarities differ from
-their representatives'.
+vk + u is slab k with lane l of each block moved to v*l + u.  Both must give
+the same symmetries and the same bytes, so the byte comparison checks every
+derived block and slab against a directly solved one.  The identity itself
+is checked on the symmetries, on the reference tables and on the built
+worlds, for the canonical strong classes and for seeded affine images of
+them, whose polarities differ from their representatives'.
 """
 
 import random
@@ -142,12 +143,14 @@ def test_symmetries_match_the_reference_on_the_affine_images(n):
                 assert counterpoint_symmetries(d, xi) == reference_symmetries(d, xi)
 
 
-def test_symmetries_match_the_reference_on_a_seeded_sample_at_n14():
-    modulus = Modulus(14)
-    rng = random.Random(1414)
+@pytest.mark.parametrize("n", (14, 16))
+def test_symmetries_match_the_reference_on_a_seeded_sample(n):
+    """Marked and unmarked sources alike, at the moduli no full comparison reaches."""
+    modulus = Modulus(n)
+    rng = random.Random(101 * n)
     for _ in range(60):
-        d = rng.choice(strong_dichotomies(14))
-        xi = DualNumber(rng.randrange(14), rng.randrange(14), modulus)
+        d = rng.choice(strong_dichotomies(n))
+        xi = DualNumber(rng.randrange(n), rng.randrange(n), modulus)
         assert counterpoint_symmetries(d, xi) == reference_symmetries(d, xi)
 
 
@@ -260,15 +263,16 @@ def test_a_source_that_no_candidate_reaches_has_no_symmetries(monkeypatch):
     """No strong class at n <= 16 has such a source; with no candidate every source is one."""
     d = Dichotomy.fux()
     monkeypatch.setattr(worlds, "_candidates", lambda d, species: ())
-    assert worlds._species_parts(d, d.half) == {k: [] for k in d.half}
+    for k in range(12):
+        assert worlds._source_parts(d, k) == []
+        assert counterpoint_symmetries(d, DualNumber(0, k, d.modulus)) == []
     assert worlds._engine_class_table(d) == (bytes(144),) * 12
-    assert counterpoint_symmetries(d, DualNumber(0, 0, d.modulus)) == []
 
 
 def test_more_than_255_pullbacks_is_refused_not_wrapped(monkeypatch):
-    def overflowing(d, sources):
-        return {k: [(1, d.modulus.n, 0)] * 256 for k in sources}
+    def overflowing(d, k):
+        return [(1, d.modulus.n, 0)] * 256
 
-    monkeypatch.setattr(worlds, "_species_parts", overflowing)
+    monkeypatch.setattr(worlds, "_source_parts", overflowing)
     with pytest.raises(ValueError, match="256 pull-backs"):
         worlds._engine_class_table(Dichotomy.fux())

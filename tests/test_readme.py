@@ -1,0 +1,42 @@
+"""The README's examples run and print what the README shows."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from counterpoint.cli_reports import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README, re.MULTILINE | re.DOTALL)
+
+
+def console_examples() -> list:
+    """(argv text, expected stdout) for each `$ counterpoint …` line of a plain block."""
+    examples = []
+    for lang, body in BLOCKS:
+        if lang:
+            continue
+        for example in re.split(r"^\$ ", body, flags=re.MULTILINE)[1:]:
+            command, _, shown = example.partition("\n")
+            examples.append((command, shown.rstrip("\n") + "\n"))
+    return examples
+
+
+EXAMPLES = console_examples()
+
+
+def test_the_readme_console_examples_are_found():
+    assert {command.split()[1] for command, _ in EXAMPLES} >= {"step", "compare"}
+
+
+@pytest.mark.parametrize("command, shown", EXAMPLES, ids=[c for c, _ in EXAMPLES])
+def test_console_example_prints_what_the_readme_shows(capsys, command, shown):
+    assert main(shlex.split(command)[1:]) == 0
+    assert capsys.readouterr().out == shown
+
+
+def test_library_quickstart_runs():
+    (code,) = [body for lang, body in BLOCKS if lang == "python"]
+    exec(compile(code, "README.md", "exec"), {})

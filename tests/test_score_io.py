@@ -317,14 +317,18 @@ class TestExtractTransitions:
     def test_consecutive_dedup(self):
         text = f"{DRONE_HEADER}\n1,1,64\n1,2,64\n1,3,64\n1,4,67\n"
         events = parse_score(text, ScoreFormat.DRONE)
-        deduped = extract_transitions(events, FixedCantus(0), dedup=Dedup.CONSECUTIVE)
-        kept = extract_transitions(events, FixedCantus(0), dedup=Dedup.NONE)
         four = DualNumber(0, 4)
         seven = DualNumber(0, 7)
-        assert deduped.steps == ((four, four), (four, seven))
-        assert deduped.dedup_applied
-        assert kept.steps == ((four, four), (four, four), (four, seven))
-        assert not kept.dedup_applied
+        for dedup in (Dedup.CONSECUTIVE, "CONSECUTIVE"):
+            deduped = extract_transitions(events, FixedCantus(0), dedup=dedup)
+            assert deduped.steps == ((four, four), (four, seven))
+            assert deduped.dedup_applied
+        for dedup in (Dedup.NONE, "NONE"):
+            kept = extract_transitions(events, FixedCantus(0), dedup=dedup)
+            assert kept.steps == ((four, four), (four, four), (four, seven))
+            assert not kept.dedup_applied
+        with pytest.raises(ValueError):
+            extract_transitions(events, FixedCantus(0), dedup="consecutive")
 
     @given(
         pitches=st.lists(st.integers(min_value=0, max_value=100), min_size=2, max_size=12),

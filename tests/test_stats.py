@@ -71,9 +71,12 @@ class TestSampleSummary:
         assert s.divisor is SdDivisor.N
 
     def test_sample_divisor(self):
-        s = sample_summary([0, 1, 2, 3], support=range(6), sd_divisor=SdDivisor.N_MINUS_1)
-        assert abs(s.sd - math.sqrt(5 / 3)) < 1e-12
-        assert s.divisor is SdDivisor.N_MINUS_1
+        for divisor in (SdDivisor.N_MINUS_1, "N_MINUS_1"):
+            s = sample_summary([0, 1, 2, 3], support=range(6), sd_divisor=divisor)
+            assert abs(s.sd - math.sqrt(5 / 3)) < 1e-12
+            assert s.divisor is SdDivisor.N_MINUS_1
+        with pytest.raises(ValueError):
+            sample_summary([0, 1, 2, 3], support=range(6), sd_divisor="n - 1")
 
     def test_overflow_detection(self):
         s = sample_summary([0, 9, 1], support=range(6))

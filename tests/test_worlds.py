@@ -326,26 +326,28 @@ class TestWorldOverlap:
 
 class TestScaleRestriction:
     def test_mystic_odd_whole_tone_cantus_only(self, mystic_world):
-        report = scale_restriction_report(
-            mystic_world, ODD_WHOLE_TONE, RestrictionMode.CANTUS_ONLY
-        )
-        assert report.restricted_step_count == 1296
-        assert report.forbidden_step_count == 48
-        assert report.forbidden_class_count == 8
+        for mode in (RestrictionMode.CANTUS_ONLY, "CANTUS_ONLY"):
+            report = scale_restriction_report(mystic_world, ODD_WHOLE_TONE, mode)
+            assert report.mode is RestrictionMode.CANTUS_ONLY
+            assert report.restricted_step_count == 1296
+            assert report.forbidden_step_count == 48
+            assert report.forbidden_class_count == 8
 
     def test_mystic_odd_whole_tone_both_voices(self, mystic_world):
-        report = scale_restriction_report(
-            mystic_world, ODD_WHOLE_TONE, RestrictionMode.BOTH_VOICES
-        )
-        assert report.restricted_step_count == 900
-        assert report.forbidden_step_count == 24
-        assert report.forbidden_class_count == 4
-        assert report.forbidden_classes == (
-            (0, 0, 4),
-            (0, 0, 6),
-            (0, 2, 0),
-            (0, 2, 4),
-        )
+        for mode in (RestrictionMode.BOTH_VOICES, "BOTH_VOICES"):
+            report = scale_restriction_report(mystic_world, ODD_WHOLE_TONE, mode)
+            assert report.mode is RestrictionMode.BOTH_VOICES
+            assert report.restricted_step_count == 900
+            assert report.forbidden_step_count == 24
+            assert report.forbidden_class_count == 4
+            assert report.forbidden_classes == (
+                (0, 0, 4),
+                (0, 0, 6),
+                (0, 2, 0),
+                (0, 2, 4),
+            )
+        with pytest.raises(ValueError):
+            scale_restriction_report(mystic_world, ODD_WHOLE_TONE, "both voices")
 
     def test_both_voices_classes_are_subset_of_cantus_only(self, mystic_world):
         cantus = scale_restriction_report(
@@ -389,6 +391,8 @@ class TestWalk:
     def test_negative_length_rejected(self, fux_world):
         with pytest.raises(ValueError):
             walk(fux_world, DualNumber(0, 3), -1, seed=1)
+        with pytest.raises(ValueError, match="seed"):
+            walk(fux_world, DualNumber(0, 3), 5, seed=-7)
 
     @pytest.mark.parametrize(
         "world, start, path",
