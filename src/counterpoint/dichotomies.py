@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-from .residue_algebra import Modulus, ResidueAffineMap, _fill, _Value
+from .residue_algebra import Modulus, ResidueAffineMap, _Value
 
 
 class NotStrong(ValueError):
@@ -70,7 +70,7 @@ class Dichotomy(_Value):
                 f"marked half must contain exactly n/2 = {modulus.n // 2} "
                 f"residues, got {sorted(half)}"
             )
-        _fill(self, half, modulus)
+        super().__init__(half, modulus)
 
     def complement(self) -> frozenset:
         return frozenset(self.modulus.residues()) - self.half
@@ -95,9 +95,6 @@ class StrengthCertificate(_Value):
     """Brute-force evidence for (non-)strength of a dichotomy."""
 
     __slots__ = ("stabilizer", "swaps")
-
-    def __init__(self, stabilizer: tuple, swaps: tuple) -> None:
-        _fill(self, stabilizer, swaps)
 
     @property
     def is_strong(self) -> bool:
@@ -152,7 +149,7 @@ class DichotomyClass(_Value):
     __slots__ = ("canonical_representative", "orbit_size", "alias")
 
     def __init__(self, canonical_representative, orbit_size, alias=None) -> None:
-        _fill(self, canonical_representative, orbit_size, alias)
+        super().__init__(canonical_representative, orbit_size, alias)
 
 
 def _orbit(xs, modulus: Modulus) -> set:
@@ -231,9 +228,6 @@ class ChordEndomorphismReport(_Value):
 
     __slots__ = ("chord", "endomorphisms", "linear_parts", "strong_verdict")
 
-    def __init__(self, chord, endomorphisms, linear_parts, strong_verdict) -> None:
-        _fill(self, chord, endomorphisms, linear_parts, strong_verdict)
-
 
 def chord_endomorphisms(chord: Iterable, modulus: Modulus = Modulus()) -> ChordEndomorphismReport:
     """Brute-force the full n*n endomorphism monoid of a chord.
@@ -265,9 +259,6 @@ class TriadCoverReport(_Value):
     """
 
     __slots__ = ("chord", "augmented", "diminished", "major", "minor", "minor_major_near_covers")
-
-    def __init__(self, chord, augmented, diminished, major, minor, minor_major_near_covers) -> None:
-        _fill(self, chord, augmented, diminished, major, minor, minor_major_near_covers)
 
 
 def _contained_translates(shape: tuple, inside: int, n: int) -> tuple:

@@ -20,12 +20,6 @@ from math import gcd
 _set = object.__setattr__
 
 
-def _fill(value, *fields) -> None:
-    """Set a value's fields, in ``__slots__`` order."""
-    for name, field in zip(value.__slots__, fields):
-        _set(value, name, field)
-
-
 def _by_key(op, key):
     def method(self, other):
         if other.__class__ is self.__class__:
@@ -38,13 +32,23 @@ def _by_key(op, key):
 class _Value:
     """A frozen value whose fields are its ``__slots__``, in order.
 
-    Equality, hash and repr read the tuple of the fields, got by one key
-    function per class, which each class's comparisons and hash close over;
-    ``order=True`` adds the order of that tuple.  Each ``__init__`` sets the
-    fields through ``_set``, ``_fill`` or their slot descriptors.
+    The constructor takes the fields by position or by name, as a frozen
+    dataclass's does; a subclass overrides it only to normalise a field or to
+    give one a default.  Equality, hash and repr read the tuple of the fields,
+    got by one key function per class, which each class's comparisons and hash
+    close over; ``order=True`` adds the order of that tuple.
     """
 
     __slots__ = ()
+
+    def __init__(self, *fields, **named) -> None:
+        names = self.__slots__
+        if named:
+            fields += tuple(named.pop(name) for name in names[len(fields):] if name in named)
+        if len(fields) != len(names) or named:
+            raise TypeError(f"{type(self).__qualname__} takes the fields ({', '.join(names)})")
+        for name, field in zip(names, fields):
+            _set(self, name, field)
 
     def __init_subclass__(cls, order: bool = False) -> None:
         get = operator.attrgetter(*cls.__slots__) if cls.__slots__ else lambda self: ()
@@ -84,7 +88,7 @@ class Modulus(_Value, order=True):
     __slots__ = ("n",)
 
     def __init__(self, n: int = 12) -> None:
-        if n < 4 or n % 2 != 0:
+        if not isinstance(n, int) or n < 4 or n % 2 != 0:
             raise ValueError(f"modulus must be an even integer >= 4, got {n}")
         _set(self, "n", n)
 

@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .residue_algebra import DualNumber, Modulus, _fill, _set, _Value
+from .residue_algebra import DualNumber, Modulus, _Value
 
 
 class ParseError(ValueError):
@@ -87,9 +87,6 @@ class FixedCantus(_Value):
 
     __slots__ = ("pc",)
 
-    def __init__(self, pc: int) -> None:
-        _set(self, "pc", pc)
-
 
 class ColumnCantus(_Value):
     """Read the cantus for each event from its own cantus column."""
@@ -102,9 +99,6 @@ COLUMN_CANTUS = ColumnCantus()
 
 class TransitionSequence(_Value):
     __slots__ = ("steps", "dedup_applied")  # steps: ((DualNumber, DualNumber), ...)
-
-    def __init__(self, steps: tuple, dedup_applied: bool) -> None:
-        _fill(self, steps, dedup_applied)
 
 
 def _plain(text: str) -> bool:
@@ -133,6 +127,7 @@ def parse_score(text: str, fmt: ScoreFormat) -> List[ScoreEvent]:
     quoted field spans lines; a field over ``csv.field_size_limit()`` is a
     ParseError on that line too.
     """
+    fmt = ScoreFormat(fmt)
     header = _HEADERS[fmt]
     reader = csv.reader(io.StringIO(text))
     two_voice = fmt is ScoreFormat.TWO_VOICE
@@ -220,5 +215,5 @@ def extract_transitions(
         codes = codes[:1] + [b for a, b in zip(codes, codes[1:]) if b != a]
     pairs = {code: (built[code // span], built[code % span]) for code in set(codes)}
     steps = tuple(map(pairs.__getitem__, codes))
-    return TransitionSequence(steps, dedup_applied=dedup is Dedup.CONSECUTIVE)
+    return TransitionSequence(steps, dedup is Dedup.CONSECUTIVE)
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from statistics import NormalDist
 from typing import Dict, Mapping, Sequence, Tuple
 
-from .residue_algebra import _fill, _Value
+from .residue_algebra import _Value
 
 
 class DegeneratePopulation(ValueError):
@@ -63,9 +63,6 @@ class PopulationSpec(_Value):
 
     __slots__ = ("mean", "variance", "sd", "support", "probabilities")
 
-    def __init__(self, mean, variance, sd, support, probabilities) -> None:
-        _fill(self, mean, variance, sd, support, probabilities)
-
     @classmethod
     def from_histogram(cls, histogram: Dict[int, int]) -> "PopulationSpec":
         total, mean, variance = _moments(histogram, "population histogram has no mass")
@@ -83,9 +80,6 @@ class SampleSummary(_Value):
     """
 
     __slots__ = ("n", "observed", "overflow_values", "mean", "sd", "divisor")
-
-    def __init__(self, n, observed, overflow_values, mean, sd, divisor) -> None:
-        _fill(self, n, observed, overflow_values, mean, sd, divisor)
 
     def observed_map(self) -> dict:
         return dict(self.observed)
@@ -117,9 +111,6 @@ def sample_summary(
 class EffectSizeResult(_Value):
     __slots__ = ("d", "ci_low", "ci_high", "alpha", "z")
 
-    def __init__(self, d: float, ci_low: float, ci_high: float, alpha: float, z: float) -> None:
-        _fill(self, d, ci_low, ci_high, alpha, z)
-
     @property
     def half_width(self) -> float:
         return (self.ci_high - self.ci_low) / 2
@@ -142,9 +133,6 @@ def effect_size(
 
 class ChiSquareResult(_Value):
     __slots__ = ("statistic", "df", "p_value", "yates", "categories", "observed", "expected")
-
-    def __init__(self, statistic, df, p_value, yates, categories, observed, expected) -> None:
-        _fill(self, statistic, df, p_value, yates, categories, observed, expected)
 
 
 def _pool(group: tuple, cell: tuple) -> tuple:

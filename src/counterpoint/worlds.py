@@ -72,7 +72,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 from operator import itemgetter
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .dichotomies import (
     FUX_HALF,
@@ -94,7 +94,6 @@ from .residue_algebra import (
     DualNumber,
     Modulus,
     ModulusMismatch,
-    _fill,
     _Value,
 )
 from .stats import PopulationSpec
@@ -409,9 +408,6 @@ def build_world(d: Dichotomy) -> World:
 class WorldMoments(_Value):
     __slots__ = ("mean", "variance", "sd", "note")
 
-    def __init__(self, mean: Fraction, variance: Fraction, sd: float, note: Optional[str]) -> None:
-        _fill(self, mean, variance, sd, note)
-
 
 def world_moments(w: World) -> WorldMoments:
     """Exact mean and population variance of the step-count distribution."""
@@ -422,9 +418,6 @@ def world_moments(w: World) -> WorldMoments:
 
 class WorldOverlap(_Value):
     __slots__ = ("p_a", "p_b", "p_ab")
-
-    def __init__(self, p_a: Fraction, p_b: Fraction, p_ab: Fraction) -> None:
-        _fill(self, p_a, p_b, p_ab)
 
     @property
     def gap(self) -> Fraction:
@@ -454,11 +447,6 @@ class ScaleRestrictionReport(_Value):
     __slots__ = (
         "scale", "mode", "restricted_step_count", "forbidden_steps", "forbidden_classes"
     )
-
-    def __init__(
-        self, scale, mode, restricted_step_count, forbidden_steps, forbidden_classes
-    ) -> None:
-        _fill(self, scale, mode, restricted_step_count, forbidden_steps, forbidden_classes)
 
     @property
     def forbidden_step_count(self) -> int:
@@ -497,9 +485,6 @@ def scale_restriction_report(
 
 class WalkResult(_Value):
     __slots__ = ("path", "completed", "dead_end_at")
-
-    def __init__(self, path: tuple, completed: bool, dead_end_at: Optional[int]) -> None:
-        _fill(self, path, completed, dead_end_at)
 
     @property
     def steps_taken(self) -> int:

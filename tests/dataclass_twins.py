@@ -22,7 +22,7 @@ class Modulus:
     n: int = 12
 
     def __post_init__(self) -> None:
-        if self.n < 4 or self.n % 2 != 0:
+        if not isinstance(self.n, int) or self.n < 4 or self.n % 2 != 0:
             raise ValueError(f"modulus must be an even integer >= 4, got {self.n}")
 
     def reduce(self, x: int) -> int:

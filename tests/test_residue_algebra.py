@@ -27,7 +27,7 @@ class TestModulus:
     def test_units(self):
         assert M12.units() == (1, 5, 7, 11)
 
-    @pytest.mark.parametrize("bad", [3, 7, 2, 0, -4])
+    @pytest.mark.parametrize("bad", [3, 7, 2, 0, -4, 12.0, "12"])
     def test_rejects_odd_or_tiny(self, bad):
         with pytest.raises(ValueError):
             Modulus(bad)

@@ -172,17 +172,21 @@ class TestParseScore:
         assert info.value.line == 2
 
     def test_two_voice_events(self):
-        events = parse_score(WORKED_SCORE, ScoreFormat.TWO_VOICE)
-        assert len(events) == 4
-        first = events[0]
-        assert (first.measure, first.beat) == (1, Fraction(1))
-        assert (first.cantus_pitch, first.pitch) == (60, 63)
+        for fmt in (ScoreFormat.TWO_VOICE, "TWO_VOICE"):
+            events = parse_score(WORKED_SCORE, fmt)
+            assert len(events) == 4
+            first = events[0]
+            assert (first.measure, first.beat) == (1, Fraction(1))
+            assert (first.cantus_pitch, first.pitch) == (60, 63)
 
     def test_drone_events_have_no_cantus(self):
         text = f"{DRONE_HEADER}\n1,1,63\n1,2,64\n"
-        events = parse_score(text, ScoreFormat.DRONE)
-        assert [e.pitch for e in events] == [63, 64]
-        assert all(e.cantus_pitch is None for e in events)
+        for fmt in (ScoreFormat.DRONE, "DRONE"):
+            events = parse_score(text, fmt)
+            assert [e.pitch for e in events] == [63, 64]
+            assert all(e.cantus_pitch is None for e in events)
+        with pytest.raises(ValueError, match="not a valid ScoreFormat"):
+            parse_score(text, "drone")
 
     def test_fractional_beats(self):
         text = f"{DRONE_HEADER}\n1,1,60\n1,1.5,62\n1,7/4,64\n"

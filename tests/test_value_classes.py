@@ -199,3 +199,50 @@ def test_value_classes_match_their_dataclass_twins(data, name):
         assert type(clone) is type(x) and repr(clone) == repr(x)
     assert _jsonable(x) == old_jsonable(tx)
 
+
+def own_init(twin) -> bool:
+    """Whether a twin does more at construction than set its fields in order."""
+    defaults = any(
+        f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
+        for f in dataclasses.fields(twin)
+    )
+    return hasattr(twin, "__post_init__") or defaults
+
+
+INHERITED = sorted(
+    twin.__name__ for twin in TWINS if not own_init(twin) and twin.__name__ != "ScoreEvent"
+)
+
+
+def test_a_value_class_writes_its_own_init_only_to_normalise_or_default():
+    # ScoreEvent keeps a constructor of its own for speed: it writes each field
+    # through its slot descriptor, once per parsed row.
+    for twin in TWINS:
+        cls = getattr(counterpoint, twin.__name__)
+        expected = own_init(twin) or twin.__name__ == "ScoreEvent"
+        assert ("__init__" in vars(cls)) == expected, twin.__name__
+    assert not own_init(dataclass_twins.ScoreEvent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), name=st.sampled_from(INHERITED))
+def test_the_inherited_constructor_takes_fields_by_position_or_by_name(data, name):
+    # Keyword and mixed calls build the positional value; misuse raises the
+    # twin's exception type (the messages differ).
+    tree = data.draw(VALUES[name], label="value")
+    cls, twin = getattr(counterpoint, name), getattr(dataclass_twins, name)
+    args = build(tree.args, counterpoint)
+    targs = build(tree.args, dataclass_twins)
+    names = cls.__slots__
+    value = cls(*args)
+    for split in range(len(names) + 1):
+        named = dict(reversed(list(zip(names[split:], args[split:]))))
+        assert cls(*args[:split], **named) == value
+    calls = [(args + (0,), {}), (args, {"extra": 0})]
+    tcalls = [(targs + (0,), {}), (targs, {"extra": 0})]
+    if names:
+        calls += [(args[:-1], {}), (args, {names[0]: args[0]})]
+        tcalls += [(targs[:-1], {}), (targs, {names[0]: targs[0]})]
+    for (a, kw), (ta, tkw) in zip(calls, tcalls):
+        got, expected = outcome(lambda: cls(*a, **kw)), outcome(lambda: twin(*ta, **tkw))
+        assert got[0] == expected[0] == "TypeError"
