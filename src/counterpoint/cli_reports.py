@@ -30,8 +30,6 @@ from decimal import ROUND_UP, Decimal
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
-from typing import List, Optional
 
 from . import __version__
 from .dichotomies import (
@@ -224,7 +222,8 @@ def cmd_compare(args) -> dict:
 
 
 def cmd_analyze(args) -> dict:
-    text = Path(args.file).read_text(encoding="utf-8")
+    with open(args.file, encoding="utf-8") as f:
+        text = f.read()
     fmt = ScoreFormat[args.format]
     events = parse_score(text, fmt)
     if args.cantus_policy == "column":
@@ -480,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -10,7 +10,7 @@ unique *polarity*: an invertible affine map carrying K onto D.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from collections.abc import Iterable, Iterator
 
 from .residue_algebra import Modulus, ResidueAffineMap, _Value
 
@@ -64,6 +64,9 @@ class Dichotomy(_Value):
     __slots__ = ("half", "modulus")
 
     def __init__(self, half: frozenset, modulus: Modulus = Modulus()) -> None:
+        for x in half:
+            if not isinstance(x, int):
+                raise ValueError(f"marked half must hold integer residues, got {x!r}")
         half = frozenset(modulus.reduce(x) for x in half)
         if len(half) * 2 != modulus.n:
             raise ValueError(
@@ -108,7 +111,7 @@ class StrengthCertificate(_Value):
         return len(self.stabilizer) == 1 and len(self.swaps) == 1
 
     @property
-    def polarity(self) -> Optional[ResidueAffineMap]:
+    def polarity(self) -> ResidueAffineMap | None:
         """The unique half-swapping map, when exactly one exists."""
         return self.swaps[0] if len(self.swaps) == 1 else None
 

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Sequence
 
 from .residue_algebra import DualNumber, Modulus, _Value
 
@@ -68,7 +68,7 @@ class ScoreEvent(_Value):
     __slots__ = ("measure", "beat", "cantus_pitch", "pitch")
 
     def __init__(
-        self, measure: int, beat: Fraction, cantus_pitch: Optional[int], pitch: int
+        self, measure: int, beat: Fraction, cantus_pitch: int | None, pitch: int
     ) -> None:
         _measure(self, measure)
         _beat(self, beat)
@@ -117,7 +117,7 @@ def _parse_int(field: str, value: str, reader, low: int, high: int) -> int:
     return number
 
 
-def parse_score(text: str, fmt: ScoreFormat) -> List[ScoreEvent]:
+def parse_score(text: str, fmt: ScoreFormat) -> list[ScoreEvent]:
     """Parse a score CSV; events must strictly increase in (measure, beat).
 
     Each distinct beat spelling is parsed once per call into its Fraction
@@ -133,7 +133,7 @@ def parse_score(text: str, fmt: ScoreFormat) -> List[ScoreEvent]:
     two_voice = fmt is ScoreFormat.TWO_VOICE
     plain = _plain(text)
     beats = {}  # spelling -> (Fraction, ordering key)
-    events: List[ScoreEvent] = []
+    events: list[ScoreEvent] = []
     last_measure, last_key = -(10 ** 9) - 1, 0  # below every measure
     note = _NOTES.get  # misses any other spelling, and 0 (falsy): _parse_int reads those
     try:
@@ -161,7 +161,7 @@ def parse_score(text: str, fmt: ScoreFormat) -> List[ScoreEvent]:
                 parsed = beats[row[1]] = (beat, beat.numerator if beat.denominator == 1 else beat)
             beat, key = parsed
             if two_voice:
-                cantus: Optional[int] = note(row[2]) or _parse_int("cantus", row[2], reader, 0, 127)
+                cantus: int | None = note(row[2]) or _parse_int("cantus", row[2], reader, 0, 127)
                 pitch = note(row[3]) or _parse_int("discant", row[3], reader, 0, 127)
             else:
                 cantus = None

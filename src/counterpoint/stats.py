@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
+from collections.abc import Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
 from statistics import NormalDist
-from typing import Dict, Mapping, Sequence, Tuple
 
 from .residue_algebra import _Value
 
@@ -41,7 +41,7 @@ class SdDivisor(Enum):
     N_MINUS_1 = "N_MINUS_1"
 
 
-def _moments(tally: Mapping[int, int], empty: str) -> Tuple[int, Fraction, Fraction]:
+def _moments(tally: Mapping[int, int], empty: str) -> tuple[int, Fraction, Fraction]:
     """Size, mean and population variance of a ``{value: frequency}`` tally, exactly.
 
     Raises ``EmptySample(empty)`` when the tally has no mass.
@@ -64,7 +64,10 @@ class PopulationSpec(_Value):
     __slots__ = ("mean", "variance", "sd", "support", "probabilities")
 
     @classmethod
-    def from_histogram(cls, histogram: Dict[int, int]) -> "PopulationSpec":
+    def from_histogram(cls, histogram: dict[int, int]) -> "PopulationSpec":
+        for c, f in histogram.items():
+            if f < 0:
+                raise ValueError(f"category {c} has negative frequency {f}")
         total, mean, variance = _moments(histogram, "population histogram has no mass")
         support = tuple(sorted(c for c, f in histogram.items() if f > 0))
         probabilities = {c: Fraction(histogram[c], total) for c in support}

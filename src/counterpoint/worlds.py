@@ -66,13 +66,13 @@ its histogram.  A mismatch raises GateFailure instead of returning a world.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 from operator import itemgetter
-from typing import List, Sequence
 
 from .dichotomies import (
     FUX_HALF,
@@ -276,7 +276,7 @@ class World:
         return tuple(table)
 
 
-def score_against_world(seq, world: World) -> List[int]:
+def score_against_world(seq, world: World) -> list[int]:
     """Per-step symmetry counts, in order, read from the world matrix.
 
     ``seq`` is a TransitionSequence.  Both ends of every step must carry the

@@ -74,6 +74,9 @@ class Dichotomy:
     modulus: Modulus = Modulus()
 
     def __post_init__(self) -> None:
+        for x in self.half:
+            if not isinstance(x, int):
+                raise ValueError(f"marked half must hold integer residues, got {x!r}")
         object.__setattr__(
             self, "half", frozenset(self.modulus.reduce(x) for x in self.half)
         )

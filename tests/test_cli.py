@@ -380,14 +380,21 @@ class TestAnalyze:
         assert out == ""
         assert "error: line 4: pitch must be an integer, got 'sixty'" in err
 
-    def test_missing_file(self, capsys, tmp_path):
-        code, _, err = run(
+    @pytest.mark.parametrize("make, message", [
+        (lambda path: None, "No such file or directory"),
+        (lambda path: path.mkdir(), "Is a directory"),
+        (lambda path: path.write_bytes(b"measure,beat,pitch\n1,1,6\xff\n"), "'utf-8' codec can't decode"),
+    ], ids=["absent", "directory", "not-utf8"])
+    def test_missing_file(self, capsys, tmp_path, make, message):
+        path = tmp_path / "score.csv"
+        make(path)
+        code, out, err = run(
             capsys,
-            "analyze", "--file", str(tmp_path / "absent.csv"),
-            "--format", "DRONE", "--world", "fux",
+            "analyze", "--file", str(path), "--format", "DRONE", "--world", "fux",
         )
         assert code == 2
-        assert "error:" in err
+        assert out == ""
+        assert "error:" in err and message in err
 
     def test_unordered_score(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

@@ -72,6 +72,14 @@ class TestDichotomyBasics:
         with pytest.raises(ValueError):
             Dichotomy(frozenset({0, 1, 2}))
 
+    @pytest.mark.parametrize("half", [
+        frozenset({0.0, 3, 4, 7, 8, 9}),
+        frozenset({"0", "3", "4", "7", "8", "9"}),
+    ], ids=["float", "str"])
+    def test_rejects_non_integer_residues(self, half):
+        with pytest.raises(ValueError, match="marked half must hold integer residues"):
+            Dichotomy(half)
+
     def test_complement_and_membership(self):
         d = Dichotomy.fux()
         assert d.complement() == frozenset({1, 2, 5, 6, 10, 11})

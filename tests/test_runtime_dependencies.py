@@ -1,9 +1,12 @@
 """The package has no runtime dependencies: every ``import`` and ``from``
 under ``src/`` names either the package itself (a relative import) or a
-module of the standard library (``sys.stdlib_module_names``).
+module of the standard library (``sys.stdlib_module_names``).  Importing the
+CLI also loads no standard module that the package does not use.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,3 +37,14 @@ def test_imports_only_the_standard_library(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     outside = [name for name in imported_modules(tree) if name not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_cli_import_leaves_unused_standard_modules_unloaded():
+    # -S: a site hook may import these before the program starts.
+    unused = ("typing", "pathlib", "urllib.parse")
+    probe = f"import sys, counterpoint.cli_reports\nprint(*[m for m in {unused!r} if m in sys.modules])"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    ).stdout
+    assert out.split() == []

@@ -55,6 +55,14 @@ class TestPopulationSpec:
         with pytest.raises(EmptySample):
             PopulationSpec.from_histogram({})
 
+    @pytest.mark.parametrize("histogram, category", [
+        ({0: 5, 1: -1, 2: 1}, 1),
+        ({0: -1, 1: 2}, 0),
+    ], ids=["dropped", "negative-variance"])
+    def test_negative_frequency_rejected(self, histogram, category):
+        with pytest.raises(ValueError, match=f"category {category} has negative frequency -1"):
+            PopulationSpec.from_histogram(histogram)
+
 
 class TestSampleSummary:
     def test_constant_sample(self):
