@@ -118,7 +118,7 @@ class StrengthCertificate(_Value):
 
 def _mask(xs, n: int) -> int:
     """The n-bit mask of a residue set: residue x at bit n-1-x."""
-    return sum(1 << (n - 1 - x) for x in xs)
+    return sum([1 << (n - 1 - x) for x in xs])
 
 
 def _residues(mask: int, n: int) -> tuple:
@@ -155,9 +155,18 @@ class DichotomyClass(_Value):
         super().__init__(canonical_representative, orbit_size, alias)
 
 
-def _orbit(xs, modulus: Modulus) -> set:
-    """The masks of every invertible affine image of a residue set."""
-    return {image for _, _, image in _images(xs, modulus.n, modulus.units())}
+def _orbit(xs, n: int, units) -> set:
+    """The masks of a residue set's invertible affine images that contain 0: half its orbit.
+
+    For each unit v they are the n/2 rotations of v*xs that carry some v*x to 0.
+    """
+    full = (1 << n) - 1
+    orbit = set()
+    for v in units:
+        ys = [v * x % n for x in xs]
+        twice = _mask(ys, n) * (full + 2)  # the mask beside a copy of itself
+        orbit.update([twice >> (n - y) % n & full for y in ys])
+    return orbit
 
 
 # The mystic class's canonical representative, kept as a literal; a test recomputes it.
@@ -171,33 +180,35 @@ _CLASS_ALIASES = {_MYSTIC_CANONICAL: "78 (mystic)", (0, 1, 2, 5, 6, 9): "Fux"}
 
 
 def _dichotomy_class(canonical: tuple, orbit: set, modulus: Modulus) -> DichotomyClass:
-    """The class of ``orbit``, with its alias when n = 12 names one."""
+    """The class whose images containing 0 (half its orbit) are ``orbit``, with its n = 12 alias."""
     alias = _CLASS_ALIASES.get(canonical) if modulus.n == 12 else None
-    return DichotomyClass(canonical, len(orbit), alias)
+    return DichotomyClass(canonical, 2 * len(orbit), alias)
 
 
 def classify(d: Dichotomy) -> DichotomyClass:
     """The orbit's largest mask is its lexicographically smallest sorted half."""
-    orbit = _orbit(d.half, d.modulus)
+    orbit = _orbit(d.half, d.modulus.n, d.modulus.units())
     return _dichotomy_class(_residues(max(orbit), d.modulus.n), orbit, d.modulus)
 
 
 def _half_set_orbits(modulus: Modulus) -> dict:
-    """Canonical representative's mask -> orbit, over every class of half-sets.
+    """Canonical representative's mask -> the orbit's images containing 0, per class of half-sets.
 
     Half-set masks are walked downward (their complements upward, by Gosper's
     rule), which is the lexicographic order of their sorted residues, skipping
     those already seen; so each orbit is met once, at its canonical representative.
+    That mask holds 0 (bit n-1), so the walk stops where the halves without 0 begin.
     """
     n = modulus.n
     full = (1 << n) - 1
     low = (1 << n // 2) - 1
+    units = modulus.units()
     visited: set = set()
     orbits: dict = {}
-    while low <= full:
+    while low < 1 << (n - 1):
         half = full ^ low
         if half not in visited:
-            orbits[half] = _orbit(_residues(half, n), modulus)
+            orbits[half] = _orbit(_residues(half, n), n, units)
             visited |= orbits[half]
         bit = low & -low
         low = ((((low + bit) ^ low) >> 2) // bit) | (low + bit)
@@ -209,21 +220,24 @@ def strong_atlas(modulus: Modulus = Modulus()) -> list:
 
     Strength is read from the orbit by orbit-stabilizer: the stabilizer is
     trivial iff the orbit has all n*phi(n) images, and then exactly one map
-    swaps the halves iff the complement lies in the orbit.
+    swaps the halves iff the complement lies in the orbit.  Only the images
+    containing 0 are kept, half the orbit: it is full iff they number n*phi(n)/2,
+    and holds the complement iff they hold its rotation with its smallest residue at 0.
     """
     n = modulus.n
     group_order = n * len(modulus.units())
     return [
         _dichotomy_class(_residues(half, n), orbit, modulus)
         for half, orbit in _half_set_orbits(modulus).items()
-        if len(orbit) == group_order and half ^ ((1 << n) - 1) in orbit
+        if 2 * len(orbit) == group_order
+        and (rest := half ^ ((1 << n) - 1)) << (n - rest.bit_length()) in orbit
     ]
 
 
 def all_class_orbit_sizes(modulus: Modulus = Modulus()) -> dict:
     """Canonical representative -> orbit size, over every half-set class."""
     n = modulus.n
-    return {_residues(half, n): len(orbit) for half, orbit in _half_set_orbits(modulus).items()}
+    return {_residues(half, n): 2 * len(orbit) for half, orbit in _half_set_orbits(modulus).items()}
 
 
 class ChordEndomorphismReport(_Value):
@@ -232,13 +246,23 @@ class ChordEndomorphismReport(_Value):
     __slots__ = ("chord", "endomorphisms", "linear_parts", "strong_verdict")
 
 
+def _chord_set(chord: Iterable, modulus: Modulus) -> frozenset:
+    """A chord's tones reduced mod n; ValueError on a tone that is not an integer."""
+    tones = set()
+    for c in chord:
+        if not isinstance(c, int):
+            raise ValueError(f"chord must hold integer tones, got {c!r}")
+        tones.add(modulus.reduce(c))
+    return frozenset(tones)
+
+
 def chord_endomorphisms(chord: Iterable, modulus: Modulus = Modulus()) -> ChordEndomorphismReport:
     """Brute-force the full n*n endomorphism monoid of a chord.
 
     Maps come in (v, u) order.  ``strong_verdict`` is true iff the linear
     parts form a half-set whose dichotomy is strong.
     """
-    chord_set = frozenset(modulus.reduce(c) for c in chord)
+    chord_set = _chord_set(chord, modulus)
     if not chord_set:
         raise ValueError("chord must be nonempty")
     n = modulus.n
@@ -270,7 +294,7 @@ def _contained_translates(shape: tuple, inside: int, n: int) -> tuple:
 
 
 def triad_covers(chord: Iterable, modulus: Modulus = Modulus()) -> TriadCoverReport:
-    chord_set = frozenset(modulus.reduce(c) for c in chord)
+    chord_set = _chord_set(chord, modulus)
     n = modulus.n
     inside = _mask(chord_set, n)
     shapes = (AUGMENTED, DIMINISHED, MAJOR, MINOR)

@@ -66,6 +66,8 @@ class PopulationSpec(_Value):
     @classmethod
     def from_histogram(cls, histogram: dict[int, int]) -> "PopulationSpec":
         for c, f in histogram.items():
+            if not (isinstance(c, int) and isinstance(f, int)):
+                raise ValueError(f"category {c!r} with frequency {f!r}: both must be integers")
             if f < 0:
                 raise ValueError(f"category {c} has negative frequency {f}")
         total, mean, variance = _moments(histogram, "population histogram has no mass")

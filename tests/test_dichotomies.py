@@ -174,7 +174,10 @@ class TestAtlas:
         assert "Fux" in aliases
 
     # (classes, strong classes) of half-sets of Z_n under the affine group.
-    CLASS_COUNTS = {4: (2, 0), 6: (3, 1), 8: (6, 1), 10: (9, 3), 12: (34, 6), 14: (47, 9), 16: (129, 15)}
+    CLASS_COUNTS = {
+        4: (2, 0), 6: (3, 1), 8: (6, 1), 10: (9, 3), 12: (34, 6), 14: (47, 9), 16: (129, 15),
+        18: (471, 40), 20: (1280, 90), 22: (3235, 105), 24: (15008, 359),
+    }
 
     @pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14])
     def test_atlas_agrees_with_strength_and_classify(self, n):
@@ -192,11 +195,15 @@ class TestAtlas:
         assert sum(sizes.values()) == comb(n, n // 2)
         assert list(sizes) == sorted(sizes)
 
-    @pytest.mark.parametrize("n", sorted(CLASS_COUNTS))
+    # n = 22 and 24 take seconds each, so they run only under -m slow.
+    @pytest.mark.parametrize("n", [
+        pytest.param(n, marks=pytest.mark.slow) if n > 20 else n for n in CLASS_COUNTS
+    ])
     def test_class_counts(self, n):
         modulus = Modulus(n)
-        counts = (len(all_class_orbit_sizes(modulus)), len(strong_atlas(modulus)))
-        assert counts == self.CLASS_COUNTS[n]
+        sizes = all_class_orbit_sizes(modulus)
+        assert (len(sizes), len(strong_atlas(modulus))) == self.CLASS_COUNTS[n]
+        assert sum(sizes.values()) == comb(n, n // 2)
 
 
 class TestChordEndomorphisms:
@@ -243,6 +250,12 @@ class TestChordEndomorphisms:
     def test_empty_chord_rejected(self):
         with pytest.raises(ValueError):
             chord_endomorphisms(())
+
+    @pytest.mark.parametrize("chord", [[0.0, 4, 7], [0.5, 4]])
+    @pytest.mark.parametrize("report", [chord_endomorphisms, triad_covers])
+    def test_non_integer_tone_rejected(self, report, chord):
+        with pytest.raises(ValueError, match=f"integer tones, got {chord[0]!r}"):
+            report(chord)
 
 
 class TestChordGeometry:

@@ -63,6 +63,15 @@ class TestPopulationSpec:
         with pytest.raises(ValueError, match=f"category {category} has negative frequency -1"):
             PopulationSpec.from_histogram(histogram)
 
+    @pytest.mark.parametrize("histogram, entry", [
+        ({0: 0.5, 1: 1}, "category 0 with frequency 0.5"),
+        ({0: 1.0, 1: 1}, "category 0 with frequency 1.0"),
+        ({0.5: 1, 1: 1}, "category 0.5 with frequency 1"),
+    ], ids=["fractional-frequency", "float-frequency", "fractional-category"])
+    def test_non_integer_rejected(self, histogram, entry):
+        with pytest.raises(ValueError, match=f"{entry}: both must be integers"):
+            PopulationSpec.from_histogram(histogram)
+
 
 class TestSampleSummary:
     def test_constant_sample(self):
