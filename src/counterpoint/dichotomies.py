@@ -11,6 +11,7 @@ unique *polarity*: an invertible affine map carrying K onto D.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from math import comb
 
 from .residue_algebra import Modulus, ResidueAffineMap, _Value
 
@@ -197,7 +198,8 @@ def _half_set_orbits(modulus: Modulus) -> dict:
     Half-set masks are walked downward (their complements upward, by Gosper's
     rule), which is the lexicographic order of their sorted residues, skipping
     those already seen; so each orbit is met once, at its canonical representative.
-    That mask holds 0 (bit n-1), so the walk stops where the halves without 0 begin.
+    That mask holds 0 (bit n-1), and each orbit's images holding 0 are marked seen, so
+    the walk stops once all C(n-1, n/2-1) halves holding 0 are seen.
     """
     n = modulus.n
     full = (1 << n) - 1
@@ -205,7 +207,8 @@ def _half_set_orbits(modulus: Modulus) -> dict:
     units = modulus.units()
     visited: set = set()
     orbits: dict = {}
-    while low < 1 << (n - 1):
+    halves_with_0 = comb(n - 1, n // 2 - 1)
+    while len(visited) < halves_with_0:
         half = full ^ low
         if half not in visited:
             orbits[half] = _orbit(_residues(half, n), n, units)
@@ -310,7 +313,7 @@ def triad_covers(chord: Iterable, modulus: Modulus = Modulus()) -> TriadCoverRep
 
 def whole_tone_affinity(chord: Iterable) -> tuple:
     """(|chord ∩ even whole-tone|, |chord ∩ odd whole-tone|), pitch classes mod 12."""
-    chord_set = frozenset(c % 12 for c in chord)
+    chord_set = _chord_set(chord, Modulus())
     return (len(chord_set & EVEN_WHOLE_TONE), len(chord_set & ODD_WHOLE_TONE))
 
 
@@ -320,7 +323,7 @@ def mystic_parity(chord: Iterable) -> str:
     EVEN means the chord lies in the mystic affine class and shares five
     tones with the even whole-tone scale; ODD likewise with the odd scale.
     """
-    chord_set = frozenset(c % 12 for c in chord)
+    chord_set = _chord_set(chord, Modulus())
     if len(chord_set) != 6:
         return "NotMysticForm"
     if classify(Dichotomy(chord_set)).canonical_representative != _MYSTIC_CANONICAL:

@@ -44,14 +44,19 @@ class SdDivisor(Enum):
 def _moments(tally: Mapping[int, int], empty: str) -> tuple[int, Fraction, Fraction]:
     """Size, mean and population variance of a ``{value: frequency}`` tally, exactly.
 
-    Raises ``EmptySample(empty)`` when the tally has no mass.
+    Raises ``ValueError`` on a non-integer or negative entry, ``EmptySample(empty)`` on no mass.
     """
+    for c, f in tally.items():
+        if not (isinstance(c, int) and isinstance(f, int)):
+            raise ValueError(f"category {c!r} with frequency {f!r}: both must be integers")
+        if f < 0:
+            raise ValueError(f"category {c} has negative frequency {f}")
     size = sum(tally.values())
     if size <= 0:
         raise EmptySample(empty)
-    mean = Fraction(sum(v * f for v, f in tally.items()), size)
-    second = Fraction(sum(v * v * f for v, f in tally.items()), size)
-    return size, mean, second - mean * mean
+    first = sum(v * f for v, f in tally.items())
+    second = sum(v * v * f for v, f in tally.items())
+    return size, Fraction(first, size), Fraction(size * second - first * first, size * size)
 
 
 class PopulationSpec(_Value):
@@ -65,11 +70,6 @@ class PopulationSpec(_Value):
 
     @classmethod
     def from_histogram(cls, histogram: dict[int, int]) -> "PopulationSpec":
-        for c, f in histogram.items():
-            if not (isinstance(c, int) and isinstance(f, int)):
-                raise ValueError(f"category {c!r} with frequency {f!r}: both must be integers")
-            if f < 0:
-                raise ValueError(f"category {c} has negative frequency {f}")
         total, mean, variance = _moments(histogram, "population histogram has no mass")
         support = tuple(sorted(c for c, f in histogram.items() if f > 0))
         probabilities = {c: Fraction(histogram[c], total) for c in support}

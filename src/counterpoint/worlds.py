@@ -71,7 +71,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, sqrt
 from operator import itemgetter
 
 from .dichotomies import (
@@ -96,7 +96,7 @@ from .residue_algebra import (
     ModulusMismatch,
     _Value,
 )
-from .stats import PopulationSpec
+from .stats import _moments
 
 
 class GateFailure(RuntimeError):
@@ -355,13 +355,13 @@ def _engine_class_table(d: Dichotomy) -> tuple:
 
 
 def _expand(slabs: Sequence[bytes], n: int) -> tuple:
-    """Count matrix rows from a class table: row (x, k) is slab k rotated by x blocks."""
-    rows = []
-    for x in range(n):
-        cut = n * (-x % n)
-        for slab in slabs:
-            rows.append(slab[cut:] + slab[:cut])
-    return tuple(rows)
+    """Count matrix rows from a class table: row (x, k) is slab k rotated by x blocks.
+
+    Each row is one n*n-byte slice of its slab beside a copy of itself, from block n - x.
+    """
+    size = n * n
+    twice = [slab + slab for slab in slabs]
+    return tuple([pair[cut : cut + size] for cut in range(size, 0, -n) for pair in twice])
 
 
 def _gate(label: str, n: int, counts: tuple, histogram: dict) -> None:
@@ -410,10 +410,10 @@ class WorldMoments(_Value):
 
 
 def world_moments(w: World) -> WorldMoments:
-    """Exact mean and population variance of the step-count distribution."""
-    pop = PopulationSpec.from_histogram(w.histogram)
+    """Exact mean and population variance of the step-count distribution, from its histogram."""
+    _, mean, variance = _moments(w.histogram, "world histogram has no mass")
     note = MYSTIC_SD_NOTE if w.label == "mystic" else None
-    return WorldMoments(pop.mean, pop.variance, pop.sd, note)
+    return WorldMoments(mean, variance, sqrt(variance), note)
 
 
 class WorldOverlap(_Value):

@@ -281,6 +281,15 @@ class TestChordGeometry:
         assert whole_tone_affinity({0, 4, 6, 10}) == (4, 0)
         assert whole_tone_affinity({12, 16, 25, -1}) == (2, 2)  # pitch classes mod 12
 
+    @pytest.mark.parametrize("report, chord", [
+        (whole_tone_affinity, [0.5, 2, 4.0]),
+        (mystic_parity, [0.5, 2, 4, 6, 8]),
+        (mystic_parity, [0.0, 2, 4, 6, 8, 11]),
+    ], ids=["affinity-fraction", "parity-fraction", "parity-float"])
+    def test_pitch_class_reports_reject_non_integer_tones(self, report, chord):
+        with pytest.raises(ValueError, match=f"^chord must hold integer tones, got {chord[0]!r}$"):
+            report(chord)
+
     def test_mystic_parity(self):
         assert mystic_parity(MYSTIC_HALF) == "EVEN"
         assert mystic_parity({(x + 1) % 12 for x in MYSTIC_HALF}) == "ODD"

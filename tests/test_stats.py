@@ -17,6 +17,7 @@ from counterpoint import (
     effect_size,
     sample_summary,
 )
+from counterpoint.stats import _moments
 from paper_witnesses import witness_sample
 
 FUX_HISTOGRAM = {0: 6720, 1: 4992, 2: 5568, 3: 1440, 4: 1152, 5: 864}
@@ -73,6 +74,28 @@ class TestPopulationSpec:
             PopulationSpec.from_histogram(histogram)
 
 
+class TestMoments:
+    @given(st.dictionaries(st.integers(-60, 60), st.integers(0, 10**6), min_size=1, max_size=8))
+    @example({3: 7})
+    @example({-2: 1, 5: 0})
+    def test_variance_is_the_second_moment_less_the_squared_mean(self, tally):
+        size = sum(tally.values())
+        assume(size > 0)
+        mean = sum(Fraction(v * f, size) for v, f in tally.items())
+        second = sum(Fraction(v * v * f, size) for v, f in tally.items())
+        assert _moments(tally, "empty") == (size, mean, second - mean * mean)
+
+    @pytest.mark.parametrize("tally, size, value", [({4: 9}, 9, 4), ({-3: 1, 0: 0}, 1, -3)],
+                             ids=["one-category", "zero-beside"])
+    def test_one_category_has_zero_variance(self, tally, size, value):
+        assert _moments(tally, "empty") == (size, Fraction(value), Fraction(0))
+
+    @pytest.mark.parametrize("tally", [{}, {2: 0, 5: 0}], ids=["no-categories", "no-mass"])
+    def test_empty_tally(self, tally):
+        with pytest.raises(EmptySample, match="^nothing tallied$"):
+            _moments(tally, "nothing tallied")
+
+
 class TestSampleSummary:
     def test_constant_sample(self):
         s = sample_summary([2, 2, 2], support=range(6))
@@ -102,6 +125,11 @@ class TestSampleSummary:
     def test_empty_sample_rejected(self):
         with pytest.raises(EmptySample):
             sample_summary([], support=range(6))
+
+    @pytest.mark.parametrize("counts", [[0.5, 1], [1.0, 2]], ids=["fraction", "float"])
+    def test_non_integer_count_rejected(self, counts):
+        with pytest.raises(ValueError, match=f"category {counts[0]!r} with frequency 1: both must"):
+            sample_summary(counts, support=range(6))
 
     @given(
         counts=st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=200),

@@ -15,6 +15,7 @@ from counterpoint import (
     ModulusMismatch,
     NotStrong,
     ODD_WHOLE_TONE,
+    PopulationSpec,
     RestrictionMode,
     World,
     build_world,
@@ -280,6 +281,19 @@ class TestWorldMoments:
         assert m.note is not None
         assert "1.9026" in m.note and "1.0926" in m.note
 
+    @pytest.mark.parametrize("n", range(6, 17, 2))
+    def test_moments_equal_the_population_spec(self, n, fux_world, mystic_world):
+        modulus = Modulus(n)
+        worlds = [
+            build_world(Dichotomy(frozenset(c.canonical_representative), modulus))
+            for c in strong_atlas(modulus)
+        ]
+        if n == 12:
+            worlds += [fux_world, mystic_world]
+        for w in worlds:
+            m, pop = world_moments(w), PopulationSpec.from_histogram(w.histogram)
+            assert (m.mean, m.variance, m.sd) == (pop.mean, pop.variance, pop.sd), w.label
+
     def test_degenerate_world_moments(self, fux_world):
         flat = World(
             fux_world.dichotomy,
@@ -291,6 +305,15 @@ class TestWorldMoments:
         m = world_moments(flat)
         assert m.mean == 0
         assert m.sd == 0.0
+
+    @pytest.mark.parametrize("histogram, message", [
+        ({0: 5, 1: -1, 2: 1}, "category 1 has negative frequency -1"),
+        ({0: 1.0, 1: 1}, "category 0 with frequency 1.0: both must be integers"),
+    ], ids=["negative", "float"])
+    def test_malformed_histogram_rejected(self, fux_world, histogram, message):
+        hand_built = World(fux_world.dichotomy, "hand", "synthetic", fux_world.counts, histogram)
+        with pytest.raises(ValueError, match=message):
+            world_moments(hand_built)
 
 
 class TestWorldOverlap:
