@@ -60,15 +60,12 @@ def parse_pitch_class_set(text: str, modulus: Modulus = Modulus()) -> frozenset:
 
 
 class Dichotomy(_Value):
-    """A marked half/half bipartition (K / D) of Z_n."""
+    """A marked half/half bipartition (K / D) of Z_n, its residues read by ``Modulus.reduce``."""
 
     __slots__ = ("half", "modulus")
 
     def __init__(self, half: frozenset, modulus: Modulus = Modulus()) -> None:
-        for x in half:
-            if not isinstance(x, int):
-                raise ValueError(f"marked half must hold integer residues, got {x!r}")
-        half = frozenset(modulus.reduce(x) for x in half)
+        half = frozenset(map(modulus.reduce, half))
         if len(half) * 2 != modulus.n:
             raise ValueError(
                 f"marked half must contain exactly n/2 = {modulus.n // 2} "
@@ -250,13 +247,8 @@ class ChordEndomorphismReport(_Value):
 
 
 def _chord_set(chord: Iterable, modulus: Modulus) -> frozenset:
-    """A chord's tones reduced mod n; ValueError on a tone that is not an integer."""
-    tones = set()
-    for c in chord:
-        if not isinstance(c, int):
-            raise ValueError(f"chord must hold integer tones, got {c!r}")
-        tones.add(modulus.reduce(c))
-    return frozenset(tones)
+    """A chord's tones as residues mod n, each read through ``modulus.reduce``."""
+    return frozenset(map(modulus.reduce, chord))
 
 
 def chord_endomorphisms(chord: Iterable, modulus: Modulus = Modulus()) -> ChordEndomorphismReport:

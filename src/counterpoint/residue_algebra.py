@@ -4,8 +4,8 @@ self-maps.
 
 Conventions
 -----------
-* Residues are stored canonically in ``[0, n)``; every constructor
-  normalizes its inputs.
+* Residues are stored canonically in ``[0, n)``; every constructor reads
+  its inputs through ``Modulus.reduce``, which refuses a non-integer.
 * ``compose(f, g)`` means "apply ``g`` first, then ``f``".
 * Textual grammar: affine maps render as ``e^u.v``; dual numbers /
   contrapuntal intervals render and parse as ``x+ek`` (for example
@@ -99,6 +99,9 @@ class Modulus(_Value, order=True):
         return tuple(v for v in range(self.n) if gcd(v, self.n) == 1)
 
     def reduce(self, x: int) -> int:
+        """The one reader of residue values: an int (bool too) mod n; else ValueError."""
+        if not isinstance(x, int):
+            raise ValueError(f"residue must be an integer, got {x!r}")
         return x % self.n
 
     def parse_residue(self, text: str) -> int:
@@ -121,8 +124,8 @@ class ResidueAffineMap(_Value, order=True):
     __slots__ = ("u", "v", "modulus")
 
     def __init__(self, u: int, v: int, modulus: Modulus = Modulus()) -> None:
-        _set(self, "u", u % modulus.n)
-        _set(self, "v", v % modulus.n)
+        _set(self, "u", modulus.reduce(u))
+        _set(self, "v", modulus.reduce(v))
         _set(self, "modulus", modulus)
 
     def compose(self, g: "ResidueAffineMap") -> "ResidueAffineMap":
@@ -143,8 +146,8 @@ class DualNumber(_Value, order=True):
     __slots__ = ("a", "b", "modulus")
 
     def __init__(self, a: int, b: int, modulus: Modulus = Modulus()) -> None:
-        _set(self, "a", a % modulus.n)
-        _set(self, "b", b % modulus.n)
+        _set(self, "a", modulus.reduce(a))
+        _set(self, "b", modulus.reduce(b))
         _set(self, "modulus", modulus)
 
     def render(self) -> str:
@@ -169,11 +172,10 @@ class DualAffineMap(_Value, order=True):
     __slots__ = ("a", "b", "s", "t", "modulus")
 
     def __init__(self, a: int, b: int, s: int, t: int, modulus: Modulus = Modulus()) -> None:
-        n = modulus.n
-        _set(self, "a", a % n)
-        _set(self, "b", b % n)
-        _set(self, "s", s % n)
-        _set(self, "t", t % n)
+        _set(self, "a", modulus.reduce(a))
+        _set(self, "b", modulus.reduce(b))
+        _set(self, "s", modulus.reduce(s))
+        _set(self, "t", modulus.reduce(t))
         _set(self, "modulus", modulus)
 
     @property

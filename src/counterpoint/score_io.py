@@ -187,15 +187,15 @@ def extract_transitions(
     """Map events to dual intervals and pair them into steps.
 
     Every event gets one cantus: the policy's pitch class for FixedCantus,
-    the event's own cantus for COLUMN_CANTUS; then
-    xi = (cantus mod n) + e((pitch - cantus) mod n).  CONSECUTIVE dedup
-    drops a step equal to the step just before it.
+    read by ``modulus.reduce``, or the event's own cantus for COLUMN_CANTUS;
+    then xi = (cantus mod n) + e((pitch - cantus) mod n).  CONSECUTIVE
+    dedup drops a step equal to the step just before it.
     """
     dedup = Dedup(dedup)
     if len(events) < 2:
         raise TooFewEvents(f"need at least 2 events, got {len(events)}")
     if isinstance(policy, FixedCantus):
-        cantus = [policy.pc] * len(events)
+        cantus = [modulus.reduce(policy.pc)] * len(events)
     elif isinstance(policy, ColumnCantus):
         cantus = [event.cantus_pitch for event in events]
         if None in cantus:

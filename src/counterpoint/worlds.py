@@ -501,15 +501,14 @@ def walk(w: World, start: DualNumber, length: int, seed: int) -> WalkResult:
     makes on Python 3.10-3.13, so a seed gives the path ``rng.choice`` per
     step would; the golden digests in the tests freeze the paths.
 
-    Raises ValueError for a negative length or seed (``random.Random``
-    would seed -7 as 7) and DeadEnd when the start itself has no valid
-    successor; a dead end reached later stops the walk early and is
-    reported in the result.
+    Raises ValueError for a length or seed that is not a non-negative
+    integer (``random.Random`` would seed -7 as 7, and hash a float seed)
+    and DeadEnd when the start itself has no valid successor; a dead end
+    reached later stops the walk early and is reported in the result.
     """
-    if length < 0:
-        raise ValueError(f"walk length must be non-negative, got {length}")
-    if seed < 0:
-        raise ValueError(f"walk seed must be non-negative, got {seed}")
+    for name, value in (("length", length), ("seed", seed)):
+        if not isinstance(value, int) or value < 0:
+            raise ValueError(f"walk {name} must be a non-negative integer, got {value!r}")
     if start.modulus != w.modulus:
         raise ModulusMismatch("start interval and world moduli differ")
     table = w._successor_table

@@ -417,6 +417,18 @@ class TestWalk:
         with pytest.raises(ValueError, match="seed"):
             walk(fux_world, DualNumber(0, 3), 5, seed=-7)
 
+    @pytest.mark.parametrize("name, bad", [
+        ("seed", 1.5), ("length", 2.5), ("length", "2"), ("seed", None),
+    ])
+    def test_non_integer_length_or_seed_rejected(self, fux_world, name, bad):
+        args = {"length": 2, "seed": 1, name: bad}
+        with pytest.raises(ValueError, match=f"^walk {name} must be a non-negative integer, got {bad!r}$"):
+            walk(fux_world, DualNumber(0, 3), **args)
+
+    def test_bool_length_and_seed_still_count_as_integers(self, fux_world):
+        start = DualNumber(0, 3)
+        assert walk(fux_world, start, True, False) == walk(fux_world, start, 1, 0)
+
     @pytest.mark.parametrize(
         "world, start, path",
         [
