@@ -222,10 +222,7 @@ def cmd_compare(args) -> dict:
 
 
 def cmd_analyze(args) -> dict:
-    with open(args.file, encoding="utf-8") as f:
-        text = f.read()
     fmt = ScoreFormat[args.format]
-    events = parse_score(text, fmt)
     if args.cantus_policy == "column":
         if args.cantus_pc is not None:
             raise ValueError("--cantus-pc applies only with --cantus-policy fixed")
@@ -241,7 +238,10 @@ def cmd_analyze(args) -> dict:
             raise ValueError(f"--cantus-pc {args.cantus_pc} is not a pitch class in 0..11") from None
         policy, policy_text = FixedCantus(pc), f"FIXED_CANTUS({pc})"
     dedup = Dedup[args.dedup]
-    world = build_world(Dichotomy.parse(args.world))
+    dichotomy = Dichotomy.parse(args.world)
+    with open(args.file, encoding="utf-8") as f:  # every flag is checked before the file is read
+        events = parse_score(f.read(), fmt)
+    world = build_world(dichotomy)
     seq = extract_transitions(events, policy, dedup)
     counts = score_against_world(seq, world)
     pop = PopulationSpec.from_histogram(world.histogram)

@@ -11,11 +11,15 @@ Events map to dual intervals x + ek (cantus pc x, interval k mod 12);
 consecutive intervals form steps, optionally deduplicated when a step
 repeats its immediate predecessor.
 
-The chain streams the CSV rows, so only the events outlive their row.  It
-reads canonical note spellings from one table of the 128 MIDI numbers (any
-other goes to ``int``), parses each distinct beat spelling and builds each
-distinct interval once per call, and codes each step as one int of its two
-interval indices: dedup compares ints, and equal steps share one tuple.
+The chain streams the CSV rows, so only the events outlive their row.  Per
+row it tests for a blank row only when the width is wrong, parses the
+measure only when its spelling differs from the previous row's (the rows of
+one measure repeat it), reads canonical note spellings from one table of the
+128 MIDI numbers (any other goes to ``int``), and writes the checked fields
+straight into a new event's slots.  Per call it parses each distinct beat
+spelling and builds each distinct interval once, and codes each step as one
+int of its two interval indices: dedup compares ints, and equal steps share
+one tuple.
 """
 
 from __future__ import annotations
@@ -63,13 +67,20 @@ _NOTES = {str(p): p for p in range(128)}  # canonical spelling -> MIDI pitch
 
 
 class ScoreEvent(_Value):
-    """One first-species event: an upper-voice pitch over an optional cantus."""
+    """One first-species event: an upper-voice pitch over an optional cantus.
+
+    The pitches must be ints (``bool`` too), and the cantus may be None.
+    """
 
     __slots__ = ("measure", "beat", "cantus_pitch", "pitch")
 
     def __init__(
         self, measure: int, beat: Fraction, cantus_pitch: int | None, pitch: int
     ) -> None:
+        if not isinstance(cantus_pitch, (int, type(None))):
+            raise ValueError(f"cantus_pitch must be an integer or None, got {cantus_pitch!r}")
+        if not isinstance(pitch, int):
+            raise ValueError(f"pitch must be an integer, got {pitch!r}")
         _measure(self, measure)
         _beat(self, beat)
         _cantus_pitch(self, cantus_pitch)
@@ -129,11 +140,14 @@ def parse_score(text: str, fmt: ScoreFormat) -> list[ScoreEvent]:
     """
     fmt = ScoreFormat(fmt)
     header = _HEADERS[fmt]
+    width = len(header)
     reader = csv.reader(io.StringIO(text))
     two_voice = fmt is ScoreFormat.TWO_VOICE
     plain = _plain(text)
     beats = {}  # spelling -> (Fraction, ordering key)
     events: list[ScoreEvent] = []
+    append, new = events.append, object.__new__
+    spelling = measure = None  # the last measure spelling read, and its int
     last_measure, last_key = -(10 ** 9) - 1, 0  # below every measure
     note = _NOTES.get  # misses any other spelling, and 0 (falsy): _parse_int reads those
     try:
@@ -143,13 +157,15 @@ def parse_score(text: str, fmt: ScoreFormat) -> list[ScoreEvent]:
         if first != header:
             raise ParseError(1, f"header must be {','.join(header)!r}, got {','.join(first)!r}")
         for row in reader:  # reader.line_num is the row's last physical line
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(reader.line_num, f"expected {len(header)} fields, got {len(row)}")
+            if len(row) != width:
+                if not row:
+                    continue
+                raise ParseError(reader.line_num, f"expected {width} fields, got {len(row)}")
             if not (plain or _plain("".join(row))):
                 raise ParseError(reader.line_num, f"non-ASCII, '+' or '_' in {','.join(row)!r}")
-            measure = _parse_int("measure", row[0], reader, -(10 ** 9), 10 ** 9)
+            if row[0] != spelling:
+                measure = _parse_int("measure", row[0], reader, -(10 ** 9), 10 ** 9)
+                spelling = row[0]
             parsed = beats.get(row[1])
             if parsed is None:
                 try:
@@ -172,7 +188,12 @@ def parse_score(text: str, fmt: ScoreFormat) -> list[ScoreEvent]:
                     "advance (measure, beat)"
                 )
             last_measure, last_key = measure, key
-            events.append(ScoreEvent(measure, beat, cantus, pitch))
+            event = new(ScoreEvent)  # every field is checked above: skip the constructor
+            _measure(event, measure)
+            _beat(event, beat)
+            _cantus_pitch(event, cantus)
+            _pitch(event, pitch)
+            append(event)
     except csv.Error as exc:
         raise ParseError(reader.line_num, f"malformed CSV: {exc}") from exc
     return events

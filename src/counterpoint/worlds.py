@@ -243,8 +243,8 @@ class World:
         return self.counts[n * xi.a + xi.b][n * eta.a + eta.b]
 
     def count_at(self, x: int, k: int, y: int, l: int) -> int:
-        n = self.modulus.n
-        return self.counts[n * (x % n) + (k % n)][n * (y % n) + (l % n)]
+        n, reduce = self.modulus.n, self.modulus.reduce
+        return self.counts[n * reduce(x) + reduce(k)][n * reduce(y) + reduce(l)]
 
     @property
     def total_steps(self) -> int:

@@ -346,6 +346,22 @@ class TestAnalyze:
         assert out == ""
         assert "--cantus-policy fixed --cantus-pc" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--format", "TWO_VOICE", "--cantus-policy", "fixed"], "--cantus-pc is required"),
+        (["--format", "TWO_VOICE", "--cantus-pc", "5"], "--cantus-pc applies only"),
+        (["--format", "DRONE"], "DRONE input has no cantus"),
+        (["--format", "DRONE", "--cantus-policy", "fixed", "--cantus-pc", "12"],
+         "--cantus-pc 12 is not a pitch class"),
+        (["--format", "drone"], "argument --format: invalid choice"),
+        (["--format", "TWO_VOICE", "--world", "nonsense"], "malformed pitch-class set"),
+    ])
+    def test_flags_are_checked_before_the_file_is_read(self, capsys, tmp_path, flags, message):
+        argv = ["analyze", "--file", str(tmp_path / "missing.csv"), "--world", "fux", *flags]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err and "No such file" not in err
+
     def test_one_event_score_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("measure,beat,cantus,discant\n1,1,60,63\n", encoding="utf-8")
@@ -364,6 +380,7 @@ class TestAnalyze:
         code, out, err = run(
             capsys,
             "analyze", "--file", str(path), "--format", "DRONE", "--world", "fux",
+            "--cantus-policy", "fixed", "--cantus-pc", "0",
         )
         assert code == 2
         assert out == ""
@@ -375,6 +392,7 @@ class TestAnalyze:
         code, out, err = run(
             capsys,
             "analyze", "--file", str(path), "--format", "DRONE", "--world", "fux",
+            "--cantus-policy", "fixed", "--cantus-pc", "0",
         )
         assert code == 2
         assert out == ""
@@ -391,6 +409,7 @@ class TestAnalyze:
         code, out, err = run(
             capsys,
             "analyze", "--file", str(path), "--format", "DRONE", "--world", "fux",
+            "--cantus-policy", "fixed", "--cantus-pc", "0",
         )
         assert code == 2
         assert out == ""
@@ -402,9 +421,10 @@ class TestAnalyze:
         code, _, err = run(
             capsys,
             "analyze", "--file", str(path), "--format", "DRONE", "--world", "fux",
+            "--cantus-policy", "fixed", "--cantus-pc", "0",
         )
         assert code == 2
-        assert "error:" in err
+        assert "error: line 3: event at measure 1 beat 1 does not advance" in err
 
 
 class TestNoll:

@@ -3,9 +3,10 @@
 Each entry point that takes residues refuses a value that is not an integer
 with the same ValueError, and reduces an integer (negative, n or more, or a
 ``bool``) to ``x % n``, as before.  Read with ``ast``, ``isinstance(..., int)``
-appears in the package only in ``residue_algebra.py`` and in two checks on
-values that are not residues: ``stats._moments`` (tally entries) and
-``worlds.walk`` (a walk's length and seed).
+appears in the package only in ``residue_algebra.py`` and in three checks on
+values that are not residues: ``ScoreEvent.__init__`` (MIDI pitches),
+``stats._moments`` (tally entries) and ``worlds.walk`` (a walk's length and
+seed).
 """
 
 import ast
@@ -57,6 +58,12 @@ ENTRY_POINTS = {
         world, [0, value], RestrictionMode.BOTH_VOICES
     ),
     "extract_transitions": lambda value, world: extract_transitions(EVENTS, FixedCantus(value)),
+    **{
+        f"World.count_at.{name}": (
+            lambda value, world, i=i: world.count_at(*[1] * i, value, *[1] * (3 - i))
+        )
+        for i, name in enumerate("xkyl")
+    },
 }
 
 
@@ -95,7 +102,9 @@ def _int_checks(path: Path) -> list:
     return found
 
 
-NON_RESIDUE_CHECKS = {"stats.py": {"_moments"}, "worlds.py": {"walk"}}
+NON_RESIDUE_CHECKS = {
+    "score_io.py": {"ScoreEvent.__init__"}, "stats.py": {"_moments"}, "worlds.py": {"walk"}
+}
 
 
 @pytest.mark.parametrize(

@@ -280,6 +280,58 @@ class TestParseScore:
         with pytest.raises(OrderError):
             parse_score(text, ScoreFormat.DRONE)
 
+    @pytest.mark.parametrize("row, line, error", [
+        ("1,x,64", 3, ParseError),  # bad beat on a measure's second row
+        ("1,3,sixty", 4, ParseError),  # bad pitch on its third row
+        ("1,2,64", 5, OrderError),  # out of order on its fourth row
+    ])
+    def test_rows_that_repeat_a_measure_report_their_own_line(self, row, line, error):
+        good = ["1,1,60", "1,2,62", "1,3,64", "1,4,65"]
+        rows = good[: line - 2] + [row] + good[line - 1:]
+        with pytest.raises(error, match=f"^line {line}: "):
+            parse_score("\n".join([DRONE_HEADER, *rows]), ScoreFormat.DRONE)
+
+    @pytest.mark.parametrize("measure", ["x", "1.0", "1000000001"])
+    def test_a_bad_measure_after_a_run_of_one_spelling_reports_its_line(self, measure):
+        text = f"{DRONE_HEADER}\n1,1,60\n1,2,62\n1,3,64\n{measure},4,65\n"
+        with pytest.raises(ParseError, match="^line 5: measure ") as info:
+            parse_score(text, ScoreFormat.DRONE)
+        assert info.value.line == 5
+
+    def test_a_new_spelling_of_the_same_measure_is_the_same_measure(self):
+        events = parse_score(f"{DRONE_HEADER}\n1,1,60\n 1,2,62\n01,3,64\n", ScoreFormat.DRONE)
+        assert [(e.measure, e.beat) for e in events] == [(1, 1), (1, 2), (1, 3)]
+        with pytest.raises(OrderError, match="^line 3: "):
+            parse_score(f"{DRONE_HEADER}\n1,2,60\n 1,1,62\n", ScoreFormat.DRONE)
+
+    @pytest.mark.parametrize("fmt", list(ScoreFormat))
+    def test_parsed_events_are_the_constructed_values(self, fmt):
+        drone = f"{DRONE_HEADER}\n1,1,63\n1,3/2,64\n"
+        text = WORKED_SCORE if fmt is ScoreFormat.TWO_VOICE else drone
+        for event in parse_score(text, fmt):
+            built = ScoreEvent(event.measure, event.beat, event.cantus_pitch, event.pitch)
+            assert type(event) is ScoreEvent
+            assert event == built and hash(event) == hash(built) and repr(event) == repr(built)
+            with pytest.raises(AttributeError):
+                event.pitch = 0
+
+
+class TestScoreEvent:
+    @pytest.mark.parametrize("cantus, pitch, message", [
+        (None, 60.5, "^pitch must be an integer, got 60.5$"),
+        (None, "60", "^pitch must be an integer, got '60'$"),
+        (60, None, "^pitch must be an integer, got None$"),
+        (60.0, 62, "^cantus_pitch must be an integer or None, got 60.0$"),
+        ("60", 62, "^cantus_pitch must be an integer or None, got '60'$"),
+    ])
+    def test_non_integer_pitches_are_refused_at_construction(self, cantus, pitch, message):
+        with pytest.raises(ValueError, match=message):
+            ScoreEvent(1, 1, cantus, pitch)
+
+    def test_integer_pitches_are_stored_as_given(self):
+        assert ScoreEvent(1, Fraction(1), None, True).pitch is True
+        assert ScoreEvent(1, Fraction(1), -3, 200).cantus_pitch == -3
+
 
 class TestExtractTransitions:
     def test_column_cantus_arithmetic(self):

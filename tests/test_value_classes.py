@@ -215,8 +215,8 @@ INHERITED = sorted(
 
 
 def test_a_value_class_writes_its_own_init_only_to_normalise_or_default():
-    # ScoreEvent keeps a constructor of its own for speed: it writes each field
-    # through its slot descriptor, once per parsed row.
+    # ScoreEvent keeps a constructor of its own to refuse a non-int pitch; the
+    # drawn pitches are ints, so its twin, which checks nothing, still matches.
     for twin in TWINS:
         cls = getattr(counterpoint, twin.__name__)
         expected = own_init(twin) or twin.__name__ == "ScoreEvent"

@@ -201,6 +201,12 @@ class TestWorldConstruction:
         assert fux_world.count_at(0, 7, 2, 7) == 0
         assert max(max(row) for row in fux_world.counts) == 5
 
+    def test_count_at_reads_its_residues_through_reduce(self, fux_world):
+        assert fux_world.count_at(-12, 15, 26, -8) == fux_world.count_at(0, 3, 2, 4) == 2
+        assert fux_world.count_at(True, 0, 1, 0) == fux_world.count_at(1, 0, 1, 0)
+        with pytest.raises(ValueError, match=r"^residue must be an integer, got 0\.5$"):
+            fux_world.count_at(0.5, 3, 0, 3)
+
     @pytest.mark.parametrize("name", ["fux", "mystic"])
     def test_translation_covariance_exhaustive(self, name, fux_world, mystic_world):
         w = fux_world if name == "fux" else mystic_world
