@@ -19,30 +19,21 @@ from .residue_algebra import (
     ResidueAffineMap,
 )
 from .dichotomies import (
-    AUGMENTED,
-    DIMINISHED,
     EVEN_WHOLE_TONE,
     FUX_HALF,
-    MAJOR,
-    MINOR,
     MYSTIC_HALF,
-    ODD_WHOLE_TONE,
     PRESETS,
     ChordEndomorphismReport,
     Dichotomy,
     DichotomyClass,
     NotStrong,
     StrengthCertificate,
-    TriadCoverReport,
     all_class_orbit_sizes,
     chord_endomorphisms,
     classify,
-    mystic_parity,
     parse_pitch_class_set,
     strength,
     strong_atlas,
-    triad_covers,
-    whole_tone_affinity,
 )
 from .worlds import (
     DeadEnd,

@@ -1,5 +1,5 @@
 """Dichotomies of Z_n: strength certificates, affine classification,
-chord-endomorphism analysis, triad coverings, and whole-tone affinity.
+and chord-endomorphism analysis.
 
 A dichotomy splits the n pitch classes into two halves; the marked half K
 plays the role of the consonances and its complement D the dissonances.
@@ -25,12 +25,6 @@ MYSTIC_HALF = frozenset({0, 2, 4, 6, 8, 11})
 PRESETS = {"fux": FUX_HALF, "mystic": MYSTIC_HALF}
 
 EVEN_WHOLE_TONE = frozenset({0, 2, 4, 6, 8, 10})
-ODD_WHOLE_TONE = frozenset({1, 3, 5, 7, 9, 11})
-
-AUGMENTED = (0, 4, 8)
-DIMINISHED = (0, 3, 6)
-MAJOR = (0, 4, 7)
-MINOR = (0, 3, 7)
 
 
 def parse_pitch_class_set(text: str, modulus: Modulus = Modulus()) -> frozenset:
@@ -167,14 +161,12 @@ def _orbit(xs, n: int, units) -> set:
     return orbit
 
 
-# The mystic class's canonical representative, kept as a literal; a test recomputes it.
-_MYSTIC_CANONICAL = (0, 1, 2, 4, 6, 10)
-
-# Class aliases for n = 12: the mystic chord's class (number 78 in the
-# standard catalogue of twelve-tone set classes) and the Fuxian consonances,
-# whose canonical representative is that of classify(Dichotomy.fux()).
+# Class aliases for n = 12, keyed by canonical representative: the mystic
+# chord's class (number 78 in the standard catalogue of twelve-tone set
+# classes) and the Fuxian consonances. Both keys are literals; a test
+# recomputes them from the presets.
 # Other strong classes are reported by canonical representative only.
-_CLASS_ALIASES = {_MYSTIC_CANONICAL: "78 (mystic)", (0, 1, 2, 5, 6, 9): "Fux"}
+_CLASS_ALIASES = {(0, 1, 2, 4, 6, 10): "78 (mystic)", (0, 1, 2, 5, 6, 9): "Fux"}
 
 
 def _dichotomy_class(canonical: tuple, orbit: set, modulus: Modulus) -> DichotomyClass:
@@ -246,18 +238,13 @@ class ChordEndomorphismReport(_Value):
     __slots__ = ("chord", "endomorphisms", "linear_parts", "strong_verdict")
 
 
-def _chord_set(chord: Iterable, modulus: Modulus) -> frozenset:
-    """A chord's tones as residues mod n, each read through ``modulus.reduce``."""
-    return frozenset(map(modulus.reduce, chord))
-
-
 def chord_endomorphisms(chord: Iterable, modulus: Modulus = Modulus()) -> ChordEndomorphismReport:
     """Brute-force the full n*n endomorphism monoid of a chord.
 
     Maps come in (v, u) order.  ``strong_verdict`` is true iff the linear
     parts form a half-set whose dichotomy is strong.
     """
-    chord_set = _chord_set(chord, modulus)
+    chord_set = frozenset(map(modulus.reduce, chord))
     if not chord_set:
         raise ValueError("chord must be nonempty")
     n = modulus.n
@@ -270,55 +257,3 @@ def chord_endomorphisms(chord: Iterable, modulus: Modulus = Modulus()) -> ChordE
     linear_parts = tuple(sorted({m.v for m in endos}))
     verdict = len(linear_parts) == n // 2 and strength(Dichotomy(linear_parts, modulus)).is_strong
     return ChordEndomorphismReport(tuple(sorted(chord_set)), tuple(endos), linear_parts, verdict)
-
-
-class TriadCoverReport(_Value):
-    """Translates of the four classical triads contained in a chord.
-
-    ``minor_major_near_covers`` holds triples (minor translate, major
-    translate, leftover tones) where the union of the two triads covers the
-    chord except for one tone.
-    """
-
-    __slots__ = ("chord", "augmented", "diminished", "major", "minor", "minor_major_near_covers")
-
-
-def _contained_translates(shape: tuple, inside: int, n: int) -> tuple:
-    found = {image for _, _, image in _images(shape, n, (1,)) if image | inside == inside}
-    return tuple(_residues(image, n) for image in sorted(found, reverse=True))
-
-
-def triad_covers(chord: Iterable, modulus: Modulus = Modulus()) -> TriadCoverReport:
-    chord_set = _chord_set(chord, modulus)
-    n = modulus.n
-    inside = _mask(chord_set, n)
-    shapes = (AUGMENTED, DIMINISHED, MAJOR, MINOR)
-    aug, dim, maj, mino = (_contained_translates(shape, inside, n) for shape in shapes)
-    near = []
-    for m_triad in mino:
-        for j_triad in maj:
-            leftover = chord_set - frozenset(m_triad) - frozenset(j_triad)
-            if len(leftover) == 1:
-                near.append((m_triad, j_triad, tuple(sorted(leftover))))
-    return TriadCoverReport(tuple(sorted(chord_set)), aug, dim, maj, mino, tuple(sorted(near)))
-
-
-def whole_tone_affinity(chord: Iterable) -> tuple:
-    """(|chord ∩ even whole-tone|, |chord ∩ odd whole-tone|), pitch classes mod 12."""
-    chord_set = _chord_set(chord, Modulus())
-    return (len(chord_set & EVEN_WHOLE_TONE), len(chord_set & ODD_WHOLE_TONE))
-
-
-def mystic_parity(chord: Iterable) -> str:
-    """Classify a chord (pitch classes mod 12) as an EVEN or ODD mystic form, or neither.
-
-    EVEN means the chord lies in the mystic affine class and shares five
-    tones with the even whole-tone scale; ODD likewise with the odd scale.
-    """
-    chord_set = _chord_set(chord, Modulus())
-    if len(chord_set) != 6:
-        return "NotMysticForm"
-    if classify(Dichotomy(chord_set)).canonical_representative != _MYSTIC_CANONICAL:
-        return "NotMysticForm"
-    even, odd = whole_tone_affinity(chord_set)
-    return "EVEN" if even == 5 else "ODD" if odd == 5 else "NotMysticForm"

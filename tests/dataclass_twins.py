@@ -108,16 +108,6 @@ class ChordEndomorphismReport:
     strong_verdict: bool
 
 
-@dataclass(frozen=True)
-class TriadCoverReport:
-    chord: tuple
-    augmented: tuple
-    diminished: tuple
-    major: tuple
-    minor: tuple
-    minor_major_near_covers: tuple
-
-
 # worlds (World stays a dataclass in the package)
 
 
@@ -223,7 +213,7 @@ class TransitionSequence:
 
 TWINS = (
     Modulus, ResidueAffineMap, DualNumber, DualAffineMap,
-    Dichotomy, StrengthCertificate, DichotomyClass, ChordEndomorphismReport, TriadCoverReport,
+    Dichotomy, StrengthCertificate, DichotomyClass, ChordEndomorphismReport,
     WorldMoments, WorldOverlap, ScaleRestrictionReport, WalkResult,
     PopulationSpec, SampleSummary, EffectSizeResult, ChiSquareResult,
     ScoreEvent, FixedCantus, ColumnCantus, TransitionSequence,

@@ -750,23 +750,21 @@ def test_gate_failure_exits_four_with_no_report(capsys, monkeypatch, table, tamp
 
 
 PUBLIC_NAMES = [
-    "AUGMENTED", "COLUMN_CANTUS", "ChiSquareResult", "ChordEndomorphismReport",
-    "ColumnCantus", "DIMINISHED", "DeadEnd", "Dedup", "DegeneratePopulation",
-    "Dichotomy", "DichotomyClass", "DualAffineMap", "DualNumber", "EVEN_WHOLE_TONE",
-    "EffectSizeResult", "EmptyCategory", "EmptySample", "FUX_HALF", "FixedCantus",
-    "GateFailure", "MAJOR", "MINOR", "MYSTIC_HALF", "Modulus", "ModulusMismatch",
-    "NotInvertible", "NotStrong", "ODD_WHOLE_TONE", "OrderError",
-    "PRESETS", "ParseError", "PopulationSpec", "ResidueAffineMap",
+    "COLUMN_CANTUS", "ChiSquareResult", "ChordEndomorphismReport", "ColumnCantus",
+    "DeadEnd", "Dedup", "DegeneratePopulation", "Dichotomy", "DichotomyClass",
+    "DualAffineMap", "DualNumber", "EVEN_WHOLE_TONE", "EffectSizeResult",
+    "EmptyCategory", "EmptySample", "FUX_HALF", "FixedCantus", "GateFailure",
+    "MYSTIC_HALF", "Modulus", "ModulusMismatch", "NotInvertible", "NotStrong",
+    "OrderError", "PRESETS", "ParseError", "PopulationSpec", "ResidueAffineMap",
     "RestrictionMode", "SampleSummary", "ScaleRestrictionReport", "ScoreEvent",
     "ScoreFormat", "SdDivisor", "StrengthCertificate", "TooFewEvents",
-    "TransitionSequence", "TriadCoverReport", "WalkResult", "World", "WorldMoments",
-    "WorldOverlap", "all_class_orbit_sizes", "build_world", "chi_square_gof",
-    "chi_square_sf", "chord_endomorphisms", "classify", "counterpoint_symmetries",
-    "effect_size", "extract_transitions", "mystic_parity",
-    "parse_pitch_class_set", "parse_score", "sample_summary",
+    "TransitionSequence", "WalkResult", "World", "WorldMoments", "WorldOverlap",
+    "all_class_orbit_sizes", "build_world", "chi_square_gof", "chi_square_sf",
+    "chord_endomorphisms", "classify", "counterpoint_symmetries", "effect_size",
+    "extract_transitions", "parse_pitch_class_set", "parse_score", "sample_summary",
     "scale_restriction_report", "score_against_world", "step_count", "strength",
-    "strong_atlas", "triad_covers", "walk", "whole_tone_affinity",
-    "world_histogram_csv", "world_matrix_csv", "world_moments", "world_overlap",
+    "strong_atlas", "walk", "world_histogram_csv", "world_matrix_csv", "world_moments",
+    "world_overlap",
 ]
 
 

@@ -9,19 +9,15 @@ from counterpoint import (
     EVEN_WHOLE_TONE,
     FUX_HALF,
     MYSTIC_HALF,
-    ODD_WHOLE_TONE,
     Dichotomy,
     Modulus,
     ResidueAffineMap,
     all_class_orbit_sizes,
     chord_endomorphisms,
     classify,
-    mystic_parity,
     parse_pitch_class_set,
     strength,
     strong_atlas,
-    triad_covers,
-    whole_tone_affinity,
 )
 from oracles import apply_set, invertible_maps
 
@@ -149,7 +145,6 @@ class TestAtlas:
             return min(tuple(sorted(apply_set(m, half))) for m in invertible_maps())
 
         mystic, fux = orbit_minimum(MYSTIC_HALF), orbit_minimum(FUX_HALF)
-        assert dichotomies._MYSTIC_CANONICAL == mystic
         assert dichotomies._CLASS_ALIASES == {mystic: "78 (mystic)", fux: "Fux"}
 
     def test_presets_lie_in_distinct_classes(self):
@@ -252,60 +247,8 @@ class TestChordEndomorphisms:
             chord_endomorphisms(())
 
     @pytest.mark.parametrize("chord", [[0.0, 4, 7], [0.5, 4]])
-    @pytest.mark.parametrize("report", [chord_endomorphisms, triad_covers])
+    @pytest.mark.parametrize("report", [chord_endomorphisms])
     def test_non_integer_tone_rejected(self, report, chord):
         with pytest.raises(ValueError, match=f"^residue must be an integer, got {chord[0]!r}$"):
             report(chord)
 
-
-class TestChordGeometry:
-    def test_triad_covers_of_mystic(self):
-        report = triad_covers(MYSTIC_HALF)
-        assert report.augmented == ((0, 4, 8),)
-        assert report.diminished == ((2, 8, 11),)
-        assert report.major == ((4, 8, 11),)
-        assert report.minor == ((2, 6, 11),)
-        assert report.minor_major_near_covers == (((2, 6, 11), (4, 8, 11), (0,)),)
-
-    def test_triad_covers_of_augmented_chord(self):
-        report = triad_covers({0, 4, 8})
-        assert report.augmented == ((0, 4, 8),)
-        assert report.diminished == ()
-        assert report.major == ()
-        assert report.minor == ()
-        assert report.minor_major_near_covers == ()
-
-    def test_whole_tone_affinity(self):
-        assert whole_tone_affinity(MYSTIC_HALF) == (5, 1)
-        assert whole_tone_affinity(EVEN_WHOLE_TONE) == (6, 0)
-        assert whole_tone_affinity({0, 4, 6, 10}) == (4, 0)
-        assert whole_tone_affinity({12, 16, 25, -1}) == (2, 2)  # pitch classes mod 12
-
-    @pytest.mark.parametrize("report, chord", [
-        (whole_tone_affinity, [0.5, 2, 4.0]),
-        (mystic_parity, [0.5, 2, 4, 6, 8]),
-        (mystic_parity, [0.0, 2, 4, 6, 8, 11]),
-    ], ids=["affinity-fraction", "parity-fraction", "parity-float"])
-    def test_pitch_class_reports_reject_non_integer_tones(self, report, chord):
-        with pytest.raises(ValueError, match=f"^residue must be an integer, got {chord[0]!r}$"):
-            report(chord)
-
-    def test_mystic_parity(self):
-        assert mystic_parity(MYSTIC_HALF) == "EVEN"
-        assert mystic_parity({(x + 1) % 12 for x in MYSTIC_HALF}) == "ODD"
-        assert mystic_parity(FUX_HALF) == "NotMysticForm"
-        assert mystic_parity({0, 1, 2}) == "NotMysticForm"
-        assert mystic_parity({x + 24 for x in MYSTIC_HALF}) == "EVEN"
-        # Every six-note set against the definition: an affine image of the
-        # mystic half-set with five tones in the even or the odd whole-tone scale.
-        mystic_class = {apply_set(m, MYSTIC_HALF) for m in invertible_maps(M12)}
-        tally = {"EVEN": 0, "ODD": 0, "NotMysticForm": 0}
-        for chord in combinations(range(12), 6):
-            chord = frozenset(chord)
-            even, odd = len(chord & EVEN_WHOLE_TONE), len(chord & ODD_WHOLE_TONE)
-            expected = "NotMysticForm"
-            if chord in mystic_class and 5 in (even, odd):
-                expected = "EVEN" if even == 5 else "ODD"
-            assert mystic_parity(chord) == expected, sorted(chord)
-            tally[expected] += 1
-        assert tally == {"EVEN": 24, "ODD": 24, "NotMysticForm": 876}

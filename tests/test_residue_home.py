@@ -27,10 +27,7 @@ from counterpoint import (
     ScoreEvent,
     chord_endomorphisms,
     extract_transitions,
-    mystic_parity,
     scale_restriction_report,
-    triad_covers,
-    whole_tone_affinity,
 )
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "counterpoint"
@@ -51,9 +48,6 @@ ENTRY_POINTS = {
     },
     "Dichotomy": lambda value, world: Dichotomy(frozenset({value, 3, 4, 7, 8, 9})),
     "chord_endomorphisms": lambda value, world: chord_endomorphisms([value, 4, 7]),
-    "triad_covers": lambda value, world: triad_covers([value, 4, 7]),
-    "whole_tone_affinity": lambda value, world: whole_tone_affinity([value, 2, 7]),
-    "mystic_parity": lambda value, world: mystic_parity([value, 2, 4, 6, 8, 11]),
     "scale_restriction_report": lambda value, world: scale_restriction_report(
         world, [0, value], RestrictionMode.BOTH_VOICES
     ),

@@ -80,7 +80,6 @@ VALUES = {
     "ChordEndomorphismReport": make(
         "ChordEndomorphismReport", PITCH_TUPLES, tuples(AFFINE, 2), PITCH_TUPLES, st.booleans()
     ),
-    "TriadCoverReport": make("TriadCoverReport", *[tuples(PITCH_TUPLES, 2)] * 6),
     "WorldMoments": make("WorldMoments", FRACTIONS, FRACTIONS, FLOATS, NOTES),
     "WorldOverlap": make("WorldOverlap", FRACTIONS, FRACTIONS, FRACTIONS),
     "ScaleRestrictionReport": make(

@@ -14,7 +14,6 @@ from counterpoint import (
     Modulus,
     ModulusMismatch,
     NotStrong,
-    ODD_WHOLE_TONE,
     PopulationSpec,
     RestrictionMode,
     World,
@@ -38,6 +37,7 @@ from oracles import (
     local_polarity,
 )
 
+ODD_WHOLE_TONE = frozenset({1, 3, 5, 7, 9, 11})
 FUX_HISTOGRAM = {0: 6720, 1: 4992, 2: 5568, 3: 1440, 4: 1152, 5: 864}
 MYSTIC_HISTOGRAM = {0: 16128, 1: 576, 2: 2880, 3: 0, 4: 1152, 5: 0}
 
