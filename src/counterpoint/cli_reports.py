@@ -23,7 +23,6 @@ scratch, so the calibration gate runs on every preset world a command uses.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from decimal import ROUND_UP, Decimal
@@ -108,6 +107,8 @@ def _emit(form: str, report: dict) -> None:
     """Write one form of a command's report to stdout: the only output path."""
     body = report[form]
     if form == "JSON":
+        import json  # only JSON output reads it
+
         tool = {"name": "counterpoint", "version": __version__}
         body = json.dumps(_jsonable({"tool": tool, **body}), sort_keys=True, indent=2) + "\n"
     elif form == "TEXT":
