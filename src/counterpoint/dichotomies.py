@@ -113,9 +113,9 @@ def _mask(xs, n: int) -> int:
     return sum([1 << (n - 1 - x) for x in xs])
 
 
-def _residues(mask: int, n: int) -> tuple:
-    """The sorted residues of a mask."""
-    return tuple(x for x in range(n) if mask >> (n - 1 - x) & 1)
+def _residues(mask: int) -> tuple:
+    """The sorted residues of a mask that holds 0: its binary digits are its n bits."""
+    return tuple([x for x, digit in enumerate(bin(mask), -2) if digit == "1"])
 
 
 def _images(xs, n: int, linear) -> Iterator[tuple]:
@@ -147,18 +147,35 @@ class DichotomyClass(_Value):
         super().__init__(canonical_representative, orbit_size, alias)
 
 
-def _orbit(xs, n: int, units) -> set:
-    """The masks of a residue set's invertible affine images that contain 0: half its orbit.
+def _unit_tables(modulus: Modulus) -> list:
+    """Per unit v, the list of bits 1 << (n-1 - v*x mod n) over the residues x.
+
+    Entry x of the list for v is x's bit in the mask of v*K.  Each call of
+    ``classify`` or the atlas builds the lists once, and the atlas reads
+    them for every class.
+    """
+    n = modulus.n
+    return [[1 << (n - 1 - v * x % n) for x in range(n)] for v in modulus.units()]
+
+
+def _orbit(xs, n: int, tables: list) -> set:
+    """The residue set's invertible affine images that contain 0: half its orbit.
 
     For each unit v they are the n/2 rotations of v*xs that carry some v*x to 0.
+    The mask of v*xs is the sum of its bits in ``tables``.  The rotation that
+    carries v*x to 0 shifts the doubled mask right by n - v*x mod n: a floor
+    division of half the doubled mask by v*x's bit.  Every such image holds 0
+    at bit n-1, so each is kept as its mask without that bit, an (n-1)-bit
+    integer: the mask of its other residues.
     """
-    full = (1 << n) - 1
-    orbit = set()
-    for v in units:
-        ys = [v * x % n for x in xs]
-        twice = _mask(ys, n) * (full + 2)  # the mask beside a copy of itself
-        orbit.update([twice >> (n - y) % n & full for y in ys])
-    return orbit
+    beside = (1 << n) + 1  # a mask times this is the mask beside a copy of itself
+    others = (1 << n - 1) - 1
+    return {
+        twice // bit[x] & others
+        for bit in tables
+        for twice in [sum(map(bit.__getitem__, xs)) * beside >> 1]
+        for x in xs
+    }
 
 
 # Class aliases for n = 12, keyed by canonical representative: the mystic
@@ -169,42 +186,66 @@ def _orbit(xs, n: int, units) -> set:
 _CLASS_ALIASES = {(0, 1, 2, 4, 6, 10): "78 (mystic)", (0, 1, 2, 5, 6, 9): "Fux"}
 
 
-def _dichotomy_class(canonical: tuple, orbit: set, modulus: Modulus) -> DichotomyClass:
-    """The class whose images containing 0 (half its orbit) are ``orbit``, with its n = 12 alias."""
+def _dichotomy_class(canonical: tuple, orbit_size: int, modulus: Modulus) -> DichotomyClass:
+    """The class of ``canonical`` with its orbit size, and its alias at n = 12."""
     alias = _CLASS_ALIASES.get(canonical) if modulus.n == 12 else None
-    return DichotomyClass(canonical, 2 * len(orbit), alias)
+    return DichotomyClass(canonical, orbit_size, alias)
 
 
 def classify(d: Dichotomy) -> DichotomyClass:
     """The orbit's largest mask is its lexicographically smallest sorted half."""
-    orbit = _orbit(d.half, d.modulus.n, d.modulus.units())
-    return _dichotomy_class(_residues(max(orbit), d.modulus.n), orbit, d.modulus)
+    n = d.modulus.n
+    orbit = _orbit(d.half, n, _unit_tables(d.modulus))
+    return _dichotomy_class(_residues(1 << n - 1 | max(orbit)), 2 * len(orbit), d.modulus)
 
 
-def _half_set_orbits(modulus: Modulus) -> dict:
-    """Canonical representative's mask -> the orbit's images containing 0, per class of half-sets.
+def _unclassed(n: int) -> bytearray:
+    """A byte per (n-1)-bit mask: 0 where it holds n/2 - 1 residues, 1 elsewhere.
 
-    Half-set masks are walked downward (their complements upward, by Gosper's
-    rule), which is the lexicographic order of their sorted residues, skipping
-    those already seen; so each orbit is met once, at its canonical representative.
-    That mask holds 0 (bit n-1), and each orbit's images holding 0 are marked seen, so
-    the walk stops once all C(n-1, n/2-1) halves holding 0 are seen.
+    Indexed by a half-set's mask without bit n-1, its zeros are the
+    C(n-1, n/2-1) half-sets that contain 0.  It is built from the bit counts
+    of all k-bit masks, doubled n-1 times: setting bit k adds one.
+    """
+    counts = bytearray(1)
+    plus_one = bytes(range(1, 256)) + bytes(1)
+    for _ in range(n - 1):
+        counts += counts.translate(plus_one)
+    flag = bytearray(b"\1") * 256
+    flag[n // 2 - 1] = 0
+    return counts.translate(flag)
+
+
+def _half_set_classes(modulus: Modulus) -> list:
+    """(canonical representative, orbit size, whether the orbit holds the complement) per class.
+
+    Classes come in the order of their canonical representatives: the
+    lexicographic order of sorted residues, which is the mask order downward.
+    ``_unclassed`` holds a 0 for each half-set that contains 0 and is not yet
+    classed, so its highest 0 (one ``rfind``) is the largest mask of an
+    unclassed orbit: its canonical representative.  Each class marks its
+    orbit there and drops it once the three facts are read.  Orbits are
+    disjoint, so the count of halves left falls by each orbit's size and the
+    walk stops at zero.  The complement is looked up rotated to put its
+    smallest residue at 0, without bit n-1 as in ``_orbit``.
     """
     n = modulus.n
-    full = (1 << n) - 1
-    low = (1 << n // 2) - 1
-    units = modulus.units()
-    visited: set = set()
-    orbits: dict = {}
-    halves_with_0 = comb(n - 1, n // 2 - 1)
-    while len(visited) < halves_with_0:
-        half = full ^ low
-        if half not in visited:
-            orbits[half] = _orbit(_residues(half, n), n, units)
-            visited |= orbits[half]
-        bit = low & -low
-        low = ((((low + bit) ^ low) >> 2) // bit) | (low + bit)
-    return orbits
+    top = 1 << n - 1
+    tables = _unit_tables(modulus)
+    unclassed = _unclassed(n)
+    left = comb(n - 1, n // 2 - 1)
+    classes = []
+    rest = top
+    while left:
+        rest = unclassed.rfind(0, 0, rest)
+        xs = _residues(top | rest)
+        orbit = _orbit(xs, n, tables)
+        others = rest ^ (top - 1)  # the complement: it lacks 0
+        swaps = (others << n - others.bit_length()) ^ top in orbit
+        classes.append((xs, 2 * len(orbit), swaps))
+        for image in orbit:
+            unclassed[image] = 1
+        left -= len(orbit)
+    return classes
 
 
 def strong_atlas(modulus: Modulus = Modulus()) -> list:
@@ -212,24 +253,19 @@ def strong_atlas(modulus: Modulus = Modulus()) -> list:
 
     Strength is read from the orbit by orbit-stabilizer: the stabilizer is
     trivial iff the orbit has all n*phi(n) images, and then exactly one map
-    swaps the halves iff the complement lies in the orbit.  Only the images
-    containing 0 are kept, half the orbit: it is full iff they number n*phi(n)/2,
-    and holds the complement iff they hold its rotation with its smallest residue at 0.
+    swaps the halves iff the complement lies in the orbit.
     """
-    n = modulus.n
-    group_order = n * len(modulus.units())
+    group_order = modulus.n * len(modulus.units())
     return [
-        _dichotomy_class(_residues(half, n), orbit, modulus)
-        for half, orbit in _half_set_orbits(modulus).items()
-        if 2 * len(orbit) == group_order
-        and (rest := half ^ ((1 << n) - 1)) << (n - rest.bit_length()) in orbit
+        _dichotomy_class(canonical, size, modulus)
+        for canonical, size, swaps in _half_set_classes(modulus)
+        if size == group_order and swaps
     ]
 
 
 def all_class_orbit_sizes(modulus: Modulus = Modulus()) -> dict:
     """Canonical representative -> orbit size, over every half-set class."""
-    n = modulus.n
-    return {_residues(half, n): 2 * len(orbit) for half, orbit in _half_set_orbits(modulus).items()}
+    return {canonical: size for canonical, size, _ in _half_set_classes(modulus)}
 
 
 class ChordEndomorphismReport(_Value):

@@ -1,6 +1,9 @@
+import ast
 import random
+import tracemalloc
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +22,7 @@ from counterpoint import (
     strength,
     strong_atlas,
 )
-from oracles import apply_set, invertible_maps
+from oracles import apply_set, half_set_orbits, invertible_maps
 
 M12 = Modulus()
 
@@ -190,9 +193,46 @@ class TestAtlas:
         assert sum(sizes.values()) == comb(n, n // 2)
         assert list(sizes) == sorted(sizes)
 
-    # n = 22 and 24 take seconds each, so they run only under -m slow.
+    @pytest.mark.parametrize("n", range(4, 13, 2))
+    def test_every_half_set_classifies_into_its_orbit(self, n):
+        modulus = Modulus(n)
+        sizes = all_class_orbit_sizes(modulus)
+        orbits = half_set_orbits(modulus)
+        assert list(orbits) == list(sizes)
+        for canonical, orbit in orbits.items():
+            assert len(orbit) == sizes[canonical]
+            for half in orbit:
+                cls = classify(Dichotomy(half, modulus))
+                assert (cls.canonical_representative, cls.orbit_size) == (canonical, sizes[canonical])
+        assert sum(map(len, orbits.values())) == comb(n, n // 2)
+
+    def test_atlas_peak_memory_stays_under_a_megabyte(self):
+        modulus = Modulus(18)
+        tracemalloc.start()
+        try:
+            strong_atlas(modulus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_atlas_keeps_nothing_between_calls(self):
+        def name(node):
+            node = node.func if isinstance(node, ast.Call) else node
+            return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+        tree = ast.parse(Path(dichotomies.__file__).read_text(encoding="utf-8"))
+        decorators = {
+            name(d) for node in ast.walk(tree) if hasattr(node, "decorator_list") for d in node.decorator_list
+        }
+        assert not decorators & {"lru_cache", "cache"}
+        first, second = strong_atlas(Modulus(14)), strong_atlas(Modulus(14))
+        assert first == second
+        assert first is not second and all(a is not b for a, b in zip(first, second))
+
+    # n = 24 takes about a second, so it runs only under -m slow.
     @pytest.mark.parametrize("n", [
-        pytest.param(n, marks=pytest.mark.slow) if n > 20 else n for n in CLASS_COUNTS
+        pytest.param(n, marks=pytest.mark.slow) if n > 22 else n for n in CLASS_COUNTS
     ])
     def test_class_counts(self, n):
         modulus = Modulus(n)
