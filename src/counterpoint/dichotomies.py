@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from math import comb
 
-from .residue_algebra import Modulus, ResidueAffineMap, _Value
+from .residue_algebra import _TWELVE, Modulus, ResidueAffineMap, _Value
 
 
 class NotStrong(ValueError):
@@ -27,24 +27,22 @@ PRESETS = {"fux": FUX_HALF, "mystic": MYSTIC_HALF}
 EVEN_WHOLE_TONE = frozenset({0, 2, 4, 6, 8, 10})
 
 
-def parse_pitch_class_set(text: str, modulus: Modulus = Modulus()) -> frozenset:
-    """Parse a comma-separated residue list such as ``0,2,4,6,8,11``.
+def parse_pitch_class_set(text: str) -> frozenset:
+    """Parse a comma-separated list of residues mod 12 such as ``0,2,4,6,8,11``.
 
-    Items are distinct residues in 0..n-1, spaces around them allowed.
-    Preset names ``fux`` and ``mystic`` resolve to their half-sets when
-    n = 12 and raise ValueError at any other n; "" parses to the empty set.
+    Items are distinct residues in 0..11, spaces around them allowed.
+    Preset names ``fux`` and ``mystic`` resolve to their half-sets; ""
+    parses to the empty set.
     """
     name = text.strip().lower()
     if name in PRESETS:
-        if modulus.n != 12:
-            raise ValueError(f"preset {name!r} is a set of residues mod 12, not mod {modulus.n}")
         return PRESETS[name]
     if not name:
         return frozenset()
     residues = set()
     try:
         for part in text.split(","):
-            r = modulus.parse_residue(part.strip())
+            r = _TWELVE.parse_residue(part.strip())
             if r in residues:
                 raise ValueError(f"residue {r} listed twice")
             residues.add(r)
@@ -74,8 +72,9 @@ class Dichotomy(_Value):
         return ",".join(str(x) for x in sorted(self.half))
 
     @classmethod
-    def parse(cls, text: str, modulus: Modulus = Modulus()) -> "Dichotomy":
-        return cls(parse_pitch_class_set(text, modulus), modulus)
+    def parse(cls, text: str) -> "Dichotomy":
+        """A dichotomy of Z_12 from a pitch-class list or preset name."""
+        return cls(parse_pitch_class_set(text))
 
     @classmethod
     def fux(cls) -> "Dichotomy":
@@ -142,9 +141,6 @@ class DichotomyClass(_Value):
     """Affine equivalence class of a half-set."""
 
     __slots__ = ("canonical_representative", "orbit_size", "alias")
-
-    def __init__(self, canonical_representative, orbit_size, alias=None) -> None:
-        super().__init__(canonical_representative, orbit_size, alias)
 
 
 def _unit_tables(modulus: Modulus) -> list:

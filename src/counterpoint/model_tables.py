@@ -5,7 +5,9 @@ symmetry count of every step class.  Step counts in this world are
 translation-covariant, so a step x+ek -> y+el is fully described by the class
 (k, d, l) with d = (y - x) mod 12, and
 
-    count(x+ek -> y+el) = MYSTIC_STEP_TABLE[144*k + 12*d + l].
+    count(x+ek -> y+el) = MYSTIC_STEP_TABLE[k][12*d + l],
+
+one 144-byte slab per source species k.
 
 The table is fitted, not the output of a rule: scripts/derive_step_table.py
 places its values from the fiber-symmetry engine's counts and breaks ties
@@ -49,13 +51,14 @@ _TABLE_DIGITS = (
 
 # Decoded bytewise: the translation maps each ASCII digit to its value.
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
-MYSTIC_STEP_TABLE = _TABLE_DIGITS.encode().translate(_DIGIT_VALUES)
-assert len(MYSTIC_STEP_TABLE) == 1728
+_DIGITS = _TABLE_DIGITS.encode().translate(_DIGIT_VALUES)
+MYSTIC_STEP_TABLE = tuple(_DIGITS[144 * k : 144 * (k + 1)] for k in range(12))
+assert len(_DIGITS) == 1728
 
 
 def mystic_class_count(k: int, d: int, l: int) -> int:
     """Symmetry count of the mystic step class (k, d, l)."""
-    return MYSTIC_STEP_TABLE[144 * (k % 12) + 12 * (d % 12) + (l % 12)]
+    return MYSTIC_STEP_TABLE[k % 12][12 * (d % 12) + (l % 12)]
 
 
 # Build-time gates.  A preset world whose histogram deviates from these

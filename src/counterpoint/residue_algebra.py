@@ -113,6 +113,9 @@ class Modulus(_Value, order=True):
         return int(text)
 
 
+_TWELVE = Modulus()  # the modulus of every text the package reads
+
+
 def _require_same_modulus(a: "Modulus", b: "Modulus") -> None:
     if a != b:
         raise ModulusMismatch(f"mixed moduli {a.n} and {b.n}")
@@ -127,14 +130,6 @@ class ResidueAffineMap(_Value, order=True):
         _set(self, "u", modulus.reduce(u))
         _set(self, "v", modulus.reduce(v))
         _set(self, "modulus", modulus)
-
-    def compose(self, g: "ResidueAffineMap") -> "ResidueAffineMap":
-        """Return the map ``x -> self(g(x))`` (g first, then self)."""
-        _require_same_modulus(self.modulus, g.modulus)
-        return ResidueAffineMap(self.u + self.v * g.u, self.v * g.v, self.modulus)
-
-    def is_identity(self) -> bool:
-        return self.u == 0 and self.v == 1
 
     def render(self) -> str:
         return f"e^{self.u}.{self.v}"
@@ -154,12 +149,12 @@ class DualNumber(_Value, order=True):
         return f"{self.a}+e{self.b}"
 
     @classmethod
-    def parse(cls, text: str, modulus: Modulus = Modulus()) -> "DualNumber":
-        """Parse ``x+ek``; both components are residues in 0..n-1."""
+    def parse(cls, text: str) -> "DualNumber":
+        """Parse ``x+ek`` in Z_12[eps]; both components are residues in 0..11."""
         x, plus_e, k = text.partition("+e")
         if not plus_e:
             raise ValueError(f"malformed dual number {text!r}; expected x+ek")
-        return cls(modulus.parse_residue(x), modulus.parse_residue(k), modulus)
+        return cls(_TWELVE.parse_residue(x), _TWELVE.parse_residue(k))
 
 
 class DualAffineMap(_Value, order=True):

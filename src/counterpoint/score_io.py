@@ -30,7 +30,7 @@ from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
 
-from .residue_algebra import DualNumber, Modulus, _Value
+from .residue_algebra import _TWELVE, DualNumber, _Value
 
 
 class ParseError(ValueError):
@@ -81,13 +81,11 @@ class ScoreEvent(_Value):
             raise ValueError(f"cantus_pitch must be an integer or None, got {cantus_pitch!r}")
         if not isinstance(pitch, int):
             raise ValueError(f"pitch must be an integer, got {pitch!r}")
-        _measure(self, measure)
-        _beat(self, beat)
-        _cantus_pitch(self, cantus_pitch)
-        _pitch(self, pitch)
+        super().__init__(measure, beat, cantus_pitch, pitch)
 
 
-# The fields' slot descriptors, bound once: each write skips _Value.__setattr__.
+# The fields' slot descriptors, bound once, for parse_score: it checks every
+# field itself, so it skips the constructor and writes the slots directly.
 _measure, _beat, _cantus_pitch, _pitch = (
     getattr(ScoreEvent, name).__set__ for name in ScoreEvent.__slots__
 )
@@ -200,23 +198,20 @@ def parse_score(text: str, fmt: ScoreFormat) -> list[ScoreEvent]:
 
 
 def extract_transitions(
-    events: Sequence[ScoreEvent],
-    policy,
-    dedup: Dedup = Dedup.CONSECUTIVE,
-    modulus: Modulus = Modulus(),
+    events: Sequence[ScoreEvent], policy, dedup: Dedup = Dedup.CONSECUTIVE
 ) -> TransitionSequence:
-    """Map events to dual intervals and pair them into steps.
+    """Map events to dual intervals in Z_12[eps] and pair them into steps.
 
     Every event gets one cantus: the policy's pitch class for FixedCantus,
-    read by ``modulus.reduce``, or the event's own cantus for COLUMN_CANTUS;
-    then xi = (cantus mod n) + e((pitch - cantus) mod n).  CONSECUTIVE
+    read by ``Modulus.reduce``, or the event's own cantus for COLUMN_CANTUS;
+    then xi = (cantus mod 12) + e((pitch - cantus) mod 12).  CONSECUTIVE
     dedup drops a step equal to the step just before it.
     """
     dedup = Dedup(dedup)
     if len(events) < 2:
         raise TooFewEvents(f"need at least 2 events, got {len(events)}")
     if isinstance(policy, FixedCantus):
-        cantus = [modulus.reduce(policy.pc)] * len(events)
+        cantus = [_TWELVE.reduce(policy.pc)] * len(events)
     elif isinstance(policy, ColumnCantus):
         cantus = [event.cantus_pitch for event in events]
         if None in cantus:
@@ -226,15 +221,14 @@ def extract_transitions(
             )
     else:
         raise ValueError(f"unknown cantus policy {policy!r}")
-    # One DualNumber per distinct interval index n*x + k, and one int n^2*i + j
+    # One DualNumber per distinct interval index 12*x + k, and one int 144*i + j
     # per step of indices i, j: CONSECUTIVE dedup compares ints, equal steps share a tuple.
-    n, span = modulus.n, modulus.n ** 2
-    keys = [n * (c % n) + (event.pitch - c) % n for c, event in zip(cantus, events)]
-    built = {key: DualNumber(key // n, key % n, modulus) for key in set(keys)}
-    codes = [span * x + y for x, y in zip(keys, keys[1:])]
+    keys = [12 * (c % 12) + (event.pitch - c) % 12 for c, event in zip(cantus, events)]
+    built = {key: DualNumber(key // 12, key % 12) for key in set(keys)}
+    codes = [144 * x + y for x, y in zip(keys, keys[1:])]
     if dedup is Dedup.CONSECUTIVE:
         codes = codes[:1] + [b for a, b in zip(codes, codes[1:]) if b != a]
-    pairs = {code: (built[code // span], built[code % span]) for code in set(codes)}
+    pairs = {code: (built[code // 144], built[code % 144]) for code in set(codes)}
     steps = tuple(map(pairs.__getitem__, codes))
     return TransitionSequence(steps, dedup is Dedup.CONSECUTIVE)
 

@@ -391,8 +391,7 @@ def build_world(d: Dichotomy) -> World:
     """
     n = d.modulus.n
     if n == 12 and d.half == MYSTIC_HALF:
-        label, variant = "mystic", MYSTIC_MODEL_VARIANT
-        slabs = tuple(MYSTIC_STEP_TABLE[n * n * k : n * n * (k + 1)] for k in range(n))
+        label, variant, slabs = "mystic", MYSTIC_MODEL_VARIANT, MYSTIC_STEP_TABLE
     else:
         label = "fux" if n == 12 and d.half == FUX_HALF else d.render()
         variant = FUX_MODEL_VARIANT

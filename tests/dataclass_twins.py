@@ -97,7 +97,7 @@ class StrengthCertificate:
 class DichotomyClass:
     canonical_representative: tuple
     orbit_size: int
-    alias: Optional[str] = None
+    alias: Optional[str]
 
 
 @dataclass(frozen=True)

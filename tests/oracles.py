@@ -1,7 +1,8 @@
 """Test oracles: the whole dual symmetry pool, the image of one dual number,
 the local polarity of a strong dichotomy at a cantus, two independent
-commutation checks, the set-based reference for the affine orbits of
-``dichotomies`` (one ``ResidueAffineMap`` and one ``frozenset`` per image),
+commutation checks, the composition of two ``ResidueAffineMap``s, the
+set-based reference for the affine orbits of ``dichotomies`` (one
+``ResidueAffineMap`` and one ``frozenset`` per image),
 and the walk by its definition (``Random.choice`` over ``World.successors``
 per step).
 
@@ -78,6 +79,11 @@ def commutes_algebraic(g: DualAffineMap, pol: DualAffineMap) -> bool:
 def apply(m: ResidueAffineMap, x: int) -> int:
     """m(x) = v*x + u mod n."""
     return (m.v * x + m.u) % m.modulus.n
+
+
+def compose(f: ResidueAffineMap, g: ResidueAffineMap) -> ResidueAffineMap:
+    """The map x -> f(g(x)): g first, then f."""
+    return ResidueAffineMap(f.u + f.v * g.u, f.v * g.v, f.modulus)
 
 
 def apply_set(m: ResidueAffineMap, xs) -> frozenset:

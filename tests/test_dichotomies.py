@@ -22,7 +22,7 @@ from counterpoint import (
     strength,
     strong_atlas,
 )
-from oracles import apply_set, half_set_orbits, invertible_maps
+from oracles import apply, apply_set, compose, half_set_orbits, invertible_maps
 
 M12 = Modulus()
 
@@ -53,15 +53,6 @@ class TestDichotomyBasics:
     def test_parse_reads_residues_only(self, text):
         with pytest.raises(ValueError, match="malformed pitch-class set"):
             parse_pitch_class_set(text)
-
-    @pytest.mark.parametrize("n", [8, 10, 14])
-    @pytest.mark.parametrize("preset", ["fux", "mystic"])
-    def test_presets_are_sets_mod_twelve_only(self, preset, n):
-        message = f"preset '{preset}' is a set of residues mod 12, not mod {n}"
-        with pytest.raises(ValueError, match=message):
-            parse_pitch_class_set(preset, Modulus(n))
-        with pytest.raises(ValueError, match=message):
-            Dichotomy.parse(preset, Modulus(n))
 
     def test_parse_keeps_spaces_around_items(self):
         assert parse_pitch_class_set("0, 4, 7") == frozenset({0, 4, 7})
@@ -114,7 +105,7 @@ class TestStrength:
         for cls in strong_atlas():
             d = Dichotomy(frozenset(cls.canonical_representative))
             p = strength(d).polarity
-            assert p.compose(p).is_identity()
+            assert all(apply(p, apply(p, x)) == x for x in range(12))
 
     def test_strength_is_affine_invariant(self):
         rng = random.Random(7)
@@ -264,7 +255,7 @@ class TestChordEndomorphisms:
         assert ResidueAffineMap(0, 1) in endos
         for f in endos:
             for g in endos:
-                assert f.compose(g) in endos
+                assert compose(f, g) in endos
 
     def test_whole_tone_triads_all_fail(self):
         for triad in combinations(sorted(EVEN_WHOLE_TONE), 3):

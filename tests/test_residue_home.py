@@ -6,7 +6,8 @@ with the same ValueError, and reduces an integer (negative, n or more, or a
 appears in the package only in ``residue_algebra.py`` and in three checks on
 values that are not residues: ``ScoreEvent.__init__`` (MIDI pitches),
 ``stats._moments`` (tally entries) and ``worlds.walk`` (a walk's length and
-seed).
+seed).  The four readers of text and scores read at n = 12 and take no
+modulus.
 """
 
 import ast
@@ -17,6 +18,8 @@ from pathlib import Path
 import pytest
 
 from counterpoint import (
+    COLUMN_CANTUS,
+    Dedup,
     Dichotomy,
     DualAffineMap,
     DualNumber,
@@ -27,6 +30,7 @@ from counterpoint import (
     ScoreEvent,
     chord_endomorphisms,
     extract_transitions,
+    parse_pitch_class_set,
     scale_restriction_report,
 )
 
@@ -112,3 +116,19 @@ def test_integer_checks_live_in_residue_algebra(path):
 
 def test_modulus_reduce_still_checks():
     assert "Modulus.reduce" in _int_checks(PACKAGE / "residue_algebra.py")
+
+
+def test_the_text_and_score_readers_take_no_modulus():
+    events = [ScoreEvent(1, Fraction(1), 60, 64), ScoreEvent(2, Fraction(1), 60, 67)]
+    readers = [
+        (DualNumber.parse, ("0+e3",)),
+        (parse_pitch_class_set, ("0,4,7",)),
+        (Dichotomy.parse, ("fux",)),
+        (extract_transitions, (events, COLUMN_CANTUS, Dedup.NONE)),
+    ]
+    for reader, args in readers:
+        reader(*args)
+        with pytest.raises(TypeError):
+            reader(*args, Modulus())
+        with pytest.raises(TypeError):
+            reader(*args, modulus=Modulus())

@@ -85,13 +85,13 @@ def reference_parse_score(text, fmt):
     return events
 
 
-def reference_extract_transitions(events, policy, dedup, modulus):
+def reference_extract_transitions(events, policy, dedup):
     """The per-event definition: one DualNumber built for every event."""
     if isinstance(policy, FixedCantus):
         cantus = [policy.pc] * len(events)
     else:
         cantus = [event.cantus_pitch for event in events]
-    intervals = [DualNumber(c, event.pitch - c, modulus) for c, event in zip(cantus, events)]
+    intervals = [DualNumber(c, event.pitch - c) for c, event in zip(cantus, events)]
     steps = list(zip(intervals, intervals[1:]))
     if dedup is Dedup.CONSECUTIVE:
         steps = [step for i, step in enumerate(steps) if i == 0 or step != steps[i - 1]]
@@ -419,16 +419,15 @@ class TestExtractTransitions:
         ),
         fixed=st.one_of(st.none(), st.integers(min_value=-13, max_value=25)),
         dedup=st.sampled_from(list(Dedup)),
-        n=st.sampled_from([10, 12]),
     )
-    def test_equals_per_event_definition(self, pairs, fixed, dedup, n):
+    def test_equals_per_event_definition(self, pairs, fixed, dedup):
         events = [
             ScoreEvent(i + 1, Fraction(1), cantus, pitch)
             for i, (cantus, pitch) in enumerate(pairs)
         ]
         policy = COLUMN_CANTUS if fixed is None else FixedCantus(fixed)
-        seq = extract_transitions(events, policy, dedup, Modulus(n))
-        assert seq == reference_extract_transitions(events, policy, dedup, Modulus(n))
+        seq = extract_transitions(events, policy, dedup)
+        assert seq == reference_extract_transitions(events, policy, dedup)
         ends = [end for step in seq.steps for end in step]
         assert len({id(end) for end in ends}) == len(set(ends))  # one object per interval
 

@@ -75,8 +75,7 @@ VALUES = {
     )
     | make("Dichotomy", st.frozensets(INTS, min_size=5, max_size=7), LIVE_MODULI),
     "StrengthCertificate": make("StrengthCertificate", tuples(AFFINE, 2), tuples(AFFINE, 2)),
-    "DichotomyClass": make("DichotomyClass", PITCH_TUPLES, SMALL)
-    | make("DichotomyClass", PITCH_TUPLES, SMALL, NOTES),
+    "DichotomyClass": make("DichotomyClass", PITCH_TUPLES, SMALL, NOTES),
     "ChordEndomorphismReport": make(
         "ChordEndomorphismReport", PITCH_TUPLES, tuples(AFFINE, 2), PITCH_TUPLES, st.booleans()
     ),

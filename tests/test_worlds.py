@@ -187,9 +187,9 @@ class TestWorldConstruction:
         assert mystic_world.label == "mystic"
 
     def test_mystic_step_table_decodes_its_digits(self):
-        table = model_tables.MYSTIC_STEP_TABLE
-        assert type(table) is bytes
-        assert table == bytes(int(ch) for ch in model_tables._TABLE_DIGITS)
+        slabs = model_tables.MYSTIC_STEP_TABLE
+        assert [(type(slab), len(slab)) for slab in slabs] == [(bytes, 144)] * 12
+        assert b"".join(slabs) == bytes(int(ch) for ch in model_tables._TABLE_DIGITS)
 
     def test_mystic_histogram_pads_empty_bins(self, mystic_world):
         assert mystic_world.histogram[3] == 0
