@@ -54,6 +54,7 @@ from .stats import (
     EmptySample,
     PopulationSpec,
     SdDivisor,
+    _require_alpha,
     chi_square_gof,
     effect_size,
     sample_summary,
@@ -240,6 +241,7 @@ def cmd_analyze(args) -> dict:
         policy, policy_text = FixedCantus(pc), f"FIXED_CANTUS({pc})"
     dedup = Dedup[args.dedup]
     dichotomy = Dichotomy.parse(args.world)
+    _require_alpha(args.alpha)
     with open(args.file, encoding="utf-8") as f:  # every flag is checked before the file is read
         events = parse_score(f.read(), fmt)
     world = build_world(dichotomy)

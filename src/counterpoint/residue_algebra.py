@@ -10,11 +10,14 @@ Conventions
 * Textual grammar: affine maps render as ``e^u.v``; dual numbers /
   contrapuntal intervals render and parse as ``x+ek`` (for example
   ``0+e3``), a bit-exact round-trip.
+* Every interval worlds and the score chain hand out comes from ``_plane``,
+  and every mixed-moduli check is ``_require_same_modulus``.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 from math import gcd
 
 _set = object.__setattr__
@@ -155,6 +158,17 @@ class DualNumber(_Value, order=True):
         if not plus_e:
             raise ValueError(f"malformed dual number {text!r}; expected x+ek")
         return cls(_TWELVE.parse_residue(x), _TWELVE.parse_residue(k))
+
+
+@lru_cache(maxsize=None)
+def _plane(modulus: Modulus) -> tuple:
+    """The n^2 intervals x+ek of Z_n[eps], interval x+ek at index n*x + k.
+
+    One shared tuple per modulus: worlds and the score chain hand out these
+    objects rather than building an interval per step.
+    """
+    n = modulus.n
+    return tuple(DualNumber(x, k, modulus) for x in range(n) for k in range(n))
 
 
 class DualAffineMap(_Value, order=True):

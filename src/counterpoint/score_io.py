@@ -17,9 +17,8 @@ measure only when its spelling differs from the previous row's (the rows of
 one measure repeat it), reads canonical note spellings from one table of the
 128 MIDI numbers (any other goes to ``int``), and writes the checked fields
 straight into a new event's slots.  Per call it parses each distinct beat
-spelling and builds each distinct interval once, and codes each step as one
-int of its two interval indices: dedup compares ints, and equal steps share
-one tuple.
+spelling once and codes each step as one int of its two interval indices:
+dedup compares ints, and both intervals are read from the shared plane.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
 
-from .residue_algebra import _TWELVE, DualNumber, _Value
+from .residue_algebra import _TWELVE, _plane, _Value
 
 
 class ParseError(ValueError):
@@ -221,14 +220,13 @@ def extract_transitions(
             )
     else:
         raise ValueError(f"unknown cantus policy {policy!r}")
-    # One DualNumber per distinct interval index 12*x + k, and one int 144*i + j
-    # per step of indices i, j: CONSECUTIVE dedup compares ints, equal steps share a tuple.
+    # Interval x+ek is plane index 12*x + k, and a step of indices i, j is the
+    # int 144*i + j: CONSECUTIVE dedup compares ints.
     keys = [12 * (c % 12) + (event.pitch - c) % 12 for c, event in zip(cantus, events)]
-    built = {key: DualNumber(key // 12, key % 12) for key in set(keys)}
     codes = [144 * x + y for x, y in zip(keys, keys[1:])]
     if dedup is Dedup.CONSECUTIVE:
         codes = codes[:1] + [b for a, b in zip(codes, codes[1:]) if b != a]
-    pairs = {code: (built[code // 144], built[code % 144]) for code in set(codes)}
-    steps = tuple(map(pairs.__getitem__, codes))
+    plane = _plane(_TWELVE)
+    steps = tuple([(plane[c // 144], plane[c % 144]) for c in codes])
     return TransitionSequence(steps, dedup is Dedup.CONSECUTIVE)
 

@@ -121,13 +121,17 @@ class EffectSizeResult(_Value):
         return (self.ci_high - self.ci_low) / 2
 
 
+def _require_alpha(alpha: float) -> None:
+    # Checked on alpha / 2, so an alpha whose half underflows to 0.0 fails here too.
+    if not 0.0 < alpha / 2 < 0.5:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+
+
 def effect_size(
     sample: SampleSummary, pop: PopulationSpec, alpha: float = 0.10
 ) -> EffectSizeResult:
     """Standardized deviation d = (sample mean - mu)/sigma with CI d +- z/sqrt(n)."""
-    # Checked on alpha / 2, so an alpha whose half underflows to 0.0 fails here too.
-    if not 0.0 < alpha / 2 < 0.5:
-        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    _require_alpha(alpha)
     if pop.sd == 0:
         raise DegeneratePopulation("population sd is zero")
     d = float((sample.mean - pop.mean)) / pop.sd
@@ -186,10 +190,9 @@ def chi_square_gof(
             merged.append(_pool(merged.pop(), tail))
         cells = merged
     if len(cells) < 2:
-        raise EmptySample(
-            "too few observations: pooling low-expected categories left a "
-            "single cell, so no degrees of freedom remain"
-        )
+        pooled = "too few observations: pooling low-expected categories left a single cell"
+        cause = pooled if len(pop.support) > 1 else "the population has a single category"
+        raise EmptySample(f"{cause}, so no degrees of freedom remain")
     statistic = 0.0
     for _, o, e in cells:
         dev = abs(o - e)

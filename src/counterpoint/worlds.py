@@ -4,8 +4,8 @@ A *world* for a strong dichotomy assigns to every step xi -> eta between
 contrapuntal intervals the number of symmetries mediating it, yielding a
 144 x 144 count matrix (at n = 12), its step-count histogram, exact moment
 and overlap statistics, scale restrictions, and seeded random walks.
-Scoring a passage against a world rejects a step whose source or target
-modulus differs from the world's.
+Intervals handed in meet the one mixed-moduli check and intervals handed
+out come from the one shared plane, both in ``residue_algebra``.
 
 Symmetries mediating a step are drawn from the 6912-element group of
 invertible dual affine maps.  For a source interval xi = x + ek of species
@@ -93,7 +93,8 @@ from .residue_algebra import (
     DualAffineMap,
     DualNumber,
     Modulus,
-    ModulusMismatch,
+    _plane,
+    _require_same_modulus,
     _Value,
 )
 from .stats import _moments
@@ -176,8 +177,7 @@ def counterpoint_symmetries(d: Dichotomy, xi: DualNumber) -> list:
     whose preimage of eta has its interval part in xi's species — see
     :func:`step_count`.
     """
-    if xi.modulus != d.modulus:
-        raise ModulusMismatch("interval and dichotomy moduli differ")
+    _require_same_modulus(xi.modulus, d.modulus)
     m = d.modulus
     n, x = m.n, xi.a
     parts = _source_parts(d, xi.b)
@@ -192,8 +192,7 @@ def step_count(d: Dichotomy, xi: DualNumber, eta: DualNumber) -> int:
 
     The pull-back g^-1 carries eta = y+el to an interval part a*l + b*y + t.
     """
-    if xi.modulus != d.modulus or eta.modulus != d.modulus:
-        raise ModulusMismatch("step and dichotomy moduli differ")
+    _require_same_modulus(eta.modulus, d.modulus)  # counterpoint_symmetries checks xi
     species = _species(d, xi.b)
     n = d.modulus.n
     pulls = [g.invert() for g in counterpoint_symmetries(d, xi)]
@@ -203,17 +202,6 @@ def step_count(d: Dichotomy, xi: DualNumber, eta: DualNumber) -> int:
 class RestrictionMode(Enum):
     CANTUS_ONLY = "CANTUS_ONLY"
     BOTH_VOICES = "BOTH_VOICES"
-
-
-@lru_cache(maxsize=None)
-def _plane(modulus: Modulus) -> tuple:
-    """The n^2 intervals x+ek of Z_n[eps], interval x+ek at index n*x + k.
-
-    One shared tuple per modulus: worlds hand out these objects rather
-    than building an interval per successor or per walk step.
-    """
-    n = modulus.n
-    return tuple(DualNumber(x, k, modulus) for x in range(n) for k in range(n))
 
 
 @dataclass(frozen=True)
@@ -238,8 +226,8 @@ class World:
 
     def count(self, xi: DualNumber, eta: DualNumber) -> int:
         n = self.modulus.n
-        if xi.modulus.n != n or eta.modulus.n != n:
-            raise ModulusMismatch("step and world moduli differ")
+        _require_same_modulus(xi.modulus, self.modulus)
+        _require_same_modulus(eta.modulus, self.modulus)
         return self.counts[n * xi.a + xi.b][n * eta.a + eta.b]
 
     def count_at(self, x: int, k: int, y: int, l: int) -> int:
@@ -259,10 +247,8 @@ class World:
 
     def successors(self, xi: DualNumber) -> list:
         """Valid successors of xi with their counts, sorted by (cantus, interval)."""
-        n = self.modulus.n
-        if xi.modulus.n != n:
-            raise ModulusMismatch("interval and world moduli differ")
-        i = n * xi.a + xi.b
+        _require_same_modulus(xi.modulus, self.modulus)
+        i = self.modulus.n * xi.a + xi.b
         plane, row = _plane(self.modulus), self.counts[i]
         return [(plane[col], row[col]) for col in self._successor_table[i][0]]
 
@@ -283,8 +269,8 @@ def score_against_world(seq, world: World) -> list[int]:
     world's modulus; each distinct modulus in the sequence is checked once.
     """
     n = world.modulus.n
-    if {end.modulus.n for step in seq.steps for end in step} - {n}:
-        raise ModulusMismatch("step and world moduli differ")
+    for other in {end.modulus.n for step in seq.steps for end in step} - {n}:
+        _require_same_modulus(Modulus(other), world.modulus)
     rows = world.counts
     return [rows[n * a.a + a.b][n * b.a + b.b] for a, b in seq.steps]
 
@@ -425,8 +411,7 @@ class WorldOverlap(_Value):
 
 def world_overlap(a: World, b: World) -> WorldOverlap:
     """Exact valid-step probabilities of two worlds and of their conjunction."""
-    if a.modulus != b.modulus:
-        raise ModulusMismatch("worlds have different moduli")
+    _require_same_modulus(a.modulus, b.modulus)
     total = a.total_steps
     both = sum(1 for ra, rb in zip(a.counts, b.counts) for ca, cb in zip(ra, rb) if ca and cb)
     return WorldOverlap(
@@ -469,15 +454,13 @@ def scale_restriction_report(
     scale = tuple(sorted({w.modulus.reduce(p) for p in scale}))
     mode = RestrictionMode(mode)
     both = mode is RestrictionMode.BOTH_VOICES
-    # Voices in (x, k) order, so the forbidden steps come out in (x, k, y, l) order.
+    # Voices x+ek as indices n*x + k in (x, k) order: forbidden steps come in (x, k, y, l) order.
     voices = [
-        (x, k) for x in scale for k in sorted(w.dichotomy.half)
+        n * x + k for x in scale for k in sorted(w.dichotomy.half)
         if not both or (x + k) % n in scale
     ]
-    forbidden = tuple(
-        (DualNumber(x, k, w.modulus), DualNumber(y, l, w.modulus))
-        for x, k in voices for y, l in voices if w.counts[n * x + k][n * y + l] == 0
-    )
+    plane = _plane(w.modulus)
+    forbidden = tuple((plane[i], plane[j]) for i in voices for j in voices if w.counts[i][j] == 0)
     classes = {(src.b, (dst.a - src.a) % n, dst.b) for src, dst in forbidden}
     return ScaleRestrictionReport(scale, mode, len(voices) ** 2, forbidden, tuple(sorted(classes)))
 
@@ -508,8 +491,7 @@ def walk(w: World, start: DualNumber, length: int, seed: int) -> WalkResult:
     for name, value in (("length", length), ("seed", seed)):
         if not isinstance(value, int) or value < 0:
             raise ValueError(f"walk {name} must be a non-negative integer, got {value!r}")
-    if start.modulus != w.modulus:
-        raise ModulusMismatch("start interval and world moduli differ")
+    _require_same_modulus(start.modulus, w.modulus)
     table = w._successor_table
     i = w.modulus.n * start.a + start.b
     if not table[i][1]:

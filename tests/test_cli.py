@@ -282,6 +282,17 @@ class TestAnalyze:
         assert out == ""
         assert "alpha" in err
 
+    def test_alpha_is_checked_before_the_file_is_read(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys,
+            "analyze", "--file", str(tmp_path / "missing.csv"), "--format", "TWO_VOICE",
+            "--world", "fux", "--alpha", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert "alpha must lie strictly between 0 and 1" in err
+        assert "missing.csv" not in err
+
     def test_tiny_alpha_is_accepted(self, capsys, score_file):
         code, out, err = run(
             capsys,

@@ -65,7 +65,7 @@ def _table_subscripts(path: Path) -> list:
     "path", [p for p in SOURCES if p.name != "model_tables.py"],
     ids=lambda p: f"{p.parent.name}/{p.name}",
 )
-def test_only_model_tables_and_worlds_index_the_mystic_table(path):
+def test_only_model_tables_indexes_the_mystic_table(path):
     lines = _table_subscripts(path)
     assert lines == [], f"{path.name} subscripts MYSTIC_STEP_TABLE on lines {lines}"
 

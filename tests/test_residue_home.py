@@ -8,6 +8,11 @@ values that are not residues: ``ScoreEvent.__init__`` (MIDI pitches),
 ``stats._moments`` (tally entries) and ``worlds.walk`` (a walk's length and
 seed).  The four readers of text and scores read at n = 12 and take no
 modulus.
+
+Interval values have one home too: outside ``residue_algebra.py`` no
+package module calls ``DualNumber(...)`` or ``ModulusMismatch(...)``.  The
+intervals the package hands out come from the shared plane ``_plane``, and
+every mixed-moduli check is ``_require_same_modulus``.
 """
 
 import ast
@@ -132,3 +137,27 @@ def test_the_text_and_score_readers_take_no_modulus():
             reader(*args, Modulus())
         with pytest.raises(TypeError):
             reader(*args, modulus=Modulus())
+
+
+def _calls(path: Path, name: str) -> list:
+    """The lines of every call of ``name`` (bare or as an attribute) in ``path``."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+@pytest.mark.parametrize("name", ["DualNumber", "ModulusMismatch"])
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "residue_algebra.py"],
+    ids=lambda p: p.name,
+)
+def test_only_residue_algebra_builds_intervals_and_raises_mixed_moduli(path, name):
+    lines = _calls(path, name)
+    assert lines == [], f"{path.name} calls {name}(...) on lines {lines}"
+
+
+def test_residue_algebra_still_builds_intervals_and_raises_mixed_moduli():
+    path = PACKAGE / "residue_algebra.py"
+    assert _calls(path, "DualNumber") and _calls(path, "ModulusMismatch")

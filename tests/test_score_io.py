@@ -447,10 +447,10 @@ class TestScoreAgainstWorld:
 
     def test_source_modulus_mismatch_is_rejected(self, fux_world):
         seq = TransitionSequence(((DualNumber(0, 3, Modulus(10)), DualNumber(2, 4)),), False)
-        with pytest.raises(ModulusMismatch, match="^step and world moduli differ$"):
+        with pytest.raises(ModulusMismatch, match="^mixed moduli 10 and 12$"):
             score_against_world(seq, fux_world)
 
     def test_target_modulus_mismatch_is_rejected(self, fux_world):
         seq = TransitionSequence(((DualNumber(0, 3), DualNumber(2, 4, Modulus(10))),), False)
-        with pytest.raises(ModulusMismatch, match="^step and world moduli differ$"):
+        with pytest.raises(ModulusMismatch, match="^mixed moduli 10 and 12$"):
             score_against_world(seq, fux_world)

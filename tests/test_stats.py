@@ -358,8 +358,16 @@ class TestChiSquareGof:
     def test_merge_that_leaves_one_cell_is_rejected(self):
         pop = PopulationSpec.from_histogram(FUX_HISTOGRAM)
         sample = sample_summary([0] * 6 + [1] * 2, support=pop.support)
-        with pytest.raises(EmptySample):
+        with pytest.raises(EmptySample, match="^too few observations: pooling low-expected"):
             chi_square_gof(sample, pop, merge_low_expected=True)
+
+    @pytest.mark.parametrize("merge", [False, True])
+    def test_one_category_population_is_named_as_the_cause(self, merge):
+        sample = sample_summary([2, 2, 2], (2,))
+        pop = PopulationSpec.from_histogram({2: 5})
+        message = "^the population has a single category, so no degrees of freedom remain$"
+        with pytest.raises(EmptySample, match=message):
+            chi_square_gof(sample, pop, merge_low_expected=merge)
 
 
 class TestChiSquareSurvival:

@@ -145,31 +145,34 @@ class TestModulusChecks:
     """Every interval handed to a world or the engine must carry its modulus."""
 
     MOD10 = Modulus(10)
+    MIXED = "^mixed moduli (10 and 12|12 and 10)$"
 
     def test_count_checks_both_ends(self, fux_world):
-        with pytest.raises(ModulusMismatch):
+        with pytest.raises(ModulusMismatch, match=self.MIXED):
             fux_world.count(DualNumber(0, 3, self.MOD10), DualNumber(2, 4, self.MOD10))
-        with pytest.raises(ModulusMismatch):
+        with pytest.raises(ModulusMismatch, match=self.MIXED):
             fux_world.count(DualNumber(0, 3), DualNumber(2, 4, self.MOD10))
-        with pytest.raises(ModulusMismatch):
+        with pytest.raises(ModulusMismatch, match=self.MIXED):
             fux_world.count(DualNumber(0, 3, self.MOD10), DualNumber(2, 4))
         n10 = build_world(Dichotomy(frozenset({0, 1, 2, 3, 5}), self.MOD10))
-        with pytest.raises(ModulusMismatch):
+        with pytest.raises(ModulusMismatch, match=self.MIXED):
             n10.count(DualNumber(11, 11), DualNumber(0, 0, self.MOD10))
 
     def test_successors_checks_the_interval(self, fux_world):
-        with pytest.raises(ModulusMismatch):
+        with pytest.raises(ModulusMismatch, match=self.MIXED):
             fux_world.successors(DualNumber(0, 3, self.MOD10))
-        with pytest.raises(ModulusMismatch):
+        with pytest.raises(ModulusMismatch, match=self.MIXED):
             walk(fux_world, DualNumber(0, 3, self.MOD10), 4, 0)
 
     def test_step_count_checks_both_ends(self):
         d = Dichotomy.fux()
-        with pytest.raises(ModulusMismatch):
+        with pytest.raises(ModulusMismatch, match=self.MIXED):
             step_count(d, DualNumber(0, 3, self.MOD10), DualNumber(2, 4, self.MOD10))
-        with pytest.raises(ModulusMismatch):
+        with pytest.raises(ModulusMismatch, match=self.MIXED):
             step_count(d, DualNumber(0, 3), DualNumber(2, 4, self.MOD10))
-        with pytest.raises(ModulusMismatch):
+        with pytest.raises(ModulusMismatch, match=self.MIXED):
+            step_count(d, DualNumber(0, 3, self.MOD10), DualNumber(2, 4))
+        with pytest.raises(ModulusMismatch, match=self.MIXED):
             counterpoint_symmetries(d, DualNumber(0, 3, self.MOD10))
 
 
@@ -349,7 +352,7 @@ class TestWorldOverlap:
             tuple(bytes(36) for _ in range(36)),
             {0: 1296},
         )
-        with pytest.raises(ModulusMismatch):
+        with pytest.raises(ModulusMismatch, match="^mixed moduli 12 and 6$"):
             world_overlap(fux_world, other)
 
 
