@@ -38,7 +38,7 @@ from .dichotomies import (
     chord_endomorphisms,
     parse_pitch_class_set,
 )
-from .residue_algebra import DualNumber, Modulus, ModulusMismatch, NotInvertible, _Value
+from .residue_algebra import _TWELVE, DualNumber, ModulusMismatch, NotInvertible, _Value
 from .score_io import (
     COLUMN_CANTUS,
     Dedup,
@@ -225,20 +225,16 @@ def cmd_compare(args) -> dict:
 
 def cmd_analyze(args) -> dict:
     fmt = ScoreFormat[args.format]
-    if args.cantus_policy == "column":
-        if args.cantus_pc is not None:
-            raise ValueError("--cantus-pc applies only with --cantus-policy fixed")
-        if fmt is ScoreFormat.DRONE:
-            raise ValueError("DRONE input has no cantus; use --cantus-policy fixed --cantus-pc PC")
-        policy, policy_text = COLUMN_CANTUS, "COLUMN_CANTUS"
-    else:
-        if args.cantus_pc is None:
-            raise ValueError("--cantus-pc is required with --cantus-policy fixed")
+    if args.cantus_pc is not None:
         try:
-            pc = Modulus().parse_residue(args.cantus_pc)
+            pc = _TWELVE.parse_residue(args.cantus_pc)
         except ValueError:
             raise ValueError(f"--cantus-pc {args.cantus_pc} is not a pitch class in 0..11") from None
         policy, policy_text = FixedCantus(pc), f"FIXED_CANTUS({pc})"
+    elif fmt is ScoreFormat.DRONE:
+        raise ValueError("DRONE input has no cantus; use --cantus-pc PC")
+    else:
+        policy, policy_text = COLUMN_CANTUS, "COLUMN_CANTUS"
     dedup = Dedup[args.dedup]
     dichotomy = Dichotomy.parse(args.world)
     _require_alpha(args.alpha)
@@ -297,8 +293,6 @@ def cmd_analyze(args) -> dict:
 
 def cmd_noll(args) -> dict:
     if args.scan:
-        if args.chord:
-            raise ValueError("give either a chord or --scan wt-triads, not both")
         even = sorted(EVEN_WHOLE_TONE)
         reports = [chord_endomorphisms(frozenset(tri)) for tri in combinations(even, 3)]
         all_false = not any(r.strong_verdict for r in reports)
@@ -326,8 +320,6 @@ def cmd_noll(args) -> dict:
                 "all_strong_verdicts_false": all_false,
             },
         }
-    if not args.chord:
-        raise ValueError("either a chord or --scan wt-triads is required")
     report = chord_endomorphisms(parse_pitch_class_set(args.chord))
     endomorphisms = [m.render() for m in report.endomorphisms]
     return {
@@ -447,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--file", required=True)
     analyze.add_argument("--format", choices=[f.value for f in ScoreFormat], required=True)
     analyze.add_argument("--world", required=True)
-    analyze.add_argument("--cantus-policy", choices=["column", "fixed"], default="column")
     analyze.add_argument("--cantus-pc")
     analyze.add_argument("--dedup", choices=[d.value for d in Dedup], default="CONSECUTIVE")
     analyze.add_argument("--alpha", type=_plain_number(float), default=0.10)
@@ -457,8 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.set_defaults(func=cmd_analyze)
 
     noll = sub.add_parser("noll", help="chord endomorphism report")
-    noll.add_argument("chord", nargs="?")
-    noll.add_argument("--scan", choices=["wt-triads"])
+    chord_or_scan = noll.add_mutually_exclusive_group(required=True)
+    chord_or_scan.add_argument("chord", nargs="?")
+    chord_or_scan.add_argument("--scan", choices=["wt-triads"])
     noll.set_defaults(func=cmd_noll)
 
     scale = sub.add_parser("scale-report", help="forbidden steps inside a scale")

@@ -57,10 +57,11 @@ rotation of one slab, so the histogram is n times that of the class table.
 ``counterpoint_symmetries`` and ``step_count`` apply the same rule to the
 source itself, marked or not, as an independent recount of the table.
 
-Every build is gated: the Fuxian world is computed by this engine and must
-reproduce its frozen histogram and worked steps; the mystic world's class
-table is the frozen step-class table, and the world is re-checked against
-its histogram.  A mismatch raises GateFailure instead of returning a world.
+Every preset build is gated on its class table, before the table is
+expanded: the Fuxian table is computed by this engine and must reproduce its
+frozen histogram and worked steps; the mystic world's class table is the
+frozen step-class table, and it is re-checked against its histogram.  A
+mismatch raises GateFailure instead of returning a world.
 """
 
 from __future__ import annotations
@@ -350,15 +351,15 @@ def _expand(slabs: Sequence[bytes], n: int) -> tuple:
     return tuple([pair[cut : cut + size] for cut in range(size, 0, -n) for pair in twice])
 
 
-def _gate(label: str, n: int, counts: tuple, histogram: dict) -> None:
-    expected = EXPECTED_STEP_HISTOGRAMS[label]
+def _gate(label: str, n: int, slabs: Sequence[bytes], histogram: dict, expected: dict) -> None:
+    """Check a preset's class table before expansion: x+ek -> y+el is T[k][(y - x) mod n][l]."""
     if histogram != expected:
         raise GateFailure(
             f"{label} world failed its calibration gate: histogram {histogram} "
             f"!= expected {expected}"
         )
     for ((x, k), (y, l)), want in WORKED_STEPS.get(label, {}).items():
-        got = counts[n * x + k][n * y + l]
+        got = slabs[k][n * ((y - x) % n) + l]
         if got != want:
             raise GateFailure(
                 f"{label} world failed its calibration gate: step "
@@ -370,10 +371,10 @@ def build_world(d: Dichotomy) -> World:
     """Build the full count matrix and histogram for a strong dichotomy.
 
     The class table comes from the engine, or for the mystic preset from the
-    frozen step-class table; the matrix is its expansion.  The two presets
-    are validated against their frozen fingerprints (GateFailure on
-    mismatch); other strong dichotomies are computed by the engine without
-    a calibration gate.
+    frozen step-class table.  The two presets' tables are validated against
+    their frozen fingerprints (GateFailure on mismatch) before the table is
+    expanded to the matrix; other strong dichotomies are computed by the
+    engine without a calibration gate.
     """
     n = d.modulus.n
     if n == 12 and d.half == MYSTIC_HALF:
@@ -382,12 +383,11 @@ def build_world(d: Dichotomy) -> World:
         label = "fux" if n == 12 and d.half == FUX_HALF else d.render()
         variant = FUX_MODEL_VARIANT
         slabs = _engine_class_table(d)
-    counts = _expand(slabs, n)
     expected = EXPECTED_STEP_HISTOGRAMS.get(label)
     histogram = _histogram(slabs, n, pad_to=max(expected) if expected else 0)
     if expected:
-        _gate(label, n, counts, histogram)
-    return World(d, label, variant, counts, histogram)
+        _gate(label, n, slabs, histogram, expected)
+    return World(d, label, variant, _expand(slabs, n), histogram)
 
 
 class WorldMoments(_Value):

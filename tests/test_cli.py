@@ -241,7 +241,7 @@ class TestAnalyze:
         code, out, _ = run(
             capsys,
             "analyze", "--file", str(path), "--format", "DRONE",
-            "--world", "fux", "--cantus-policy", "fixed", "--cantus-pc", "0",
+            "--world", "fux", "--cantus-pc", "0",
             "--output", "JSON",
         )
         assert code == 0
@@ -254,7 +254,7 @@ class TestAnalyze:
         code, out, err = run(
             capsys,
             "analyze", "--file", str(score_file), "--format", "TWO_VOICE",
-            "--world", "fux", "--cantus-policy", "fixed", "--cantus-pc", pc,
+            "--world", "fux", "--cantus-pc", pc,
         )
         assert code == 2
         assert out == ""
@@ -265,7 +265,7 @@ class TestAnalyze:
         code, out, err = run(
             capsys,
             "analyze", "--file", str(score_file), "--format", "TWO_VOICE",
-            "--world", "fux", "--cantus-policy", "fixed", "--cantus-pc", pc,
+            "--world", "fux", "--cantus-pc", pc,
         )
         assert code == 2
         assert out == ""
@@ -327,24 +327,16 @@ class TestAnalyze:
         assert out == ""
         assert f"argument --alpha: invalid float value: {alpha!r}" in err
 
-    def test_fixed_policy_requires_pitch_class(self, capsys, score_file):
-        code, _, err = run(
-            capsys,
-            "analyze", "--file", str(score_file), "--format", "TWO_VOICE",
-            "--world", "fux", "--cantus-policy", "fixed",
-        )
-        assert code == 2
-        assert "cantus-pc" in err
-
-    def test_column_policy_rejects_pitch_class(self, capsys, score_file):
+    def test_cantus_pc_fixes_the_cantus_of_a_two_voice_score(self, capsys, score_file):
         code, out, err = run(
             capsys,
             "analyze", "--file", str(score_file), "--format", "TWO_VOICE",
-            "--world", "fux", "--cantus-policy", "column", "--cantus-pc", "5",
+            "--world", "fux", "--cantus-pc", "5", "--output", "JSON",
         )
-        assert code == 2
-        assert out == ""
-        assert "--cantus-pc applies only with --cantus-policy fixed" in err
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["policy"] == "FIXED_CANTUS(5)"
+        assert payload["transition_count"] == 3
 
     def test_drone_under_column_policy_names_the_flags(self, capsys, tmp_path):
         path = tmp_path / "drone.csv"
@@ -355,14 +347,14 @@ class TestAnalyze:
         )
         assert code == 2
         assert out == ""
-        assert "--cantus-policy fixed --cantus-pc" in err
+        assert "DRONE input has no cantus; use --cantus-pc PC" in err
 
     @pytest.mark.parametrize("flags, message", [
-        (["--format", "TWO_VOICE", "--cantus-policy", "fixed"], "--cantus-pc is required"),
-        (["--format", "TWO_VOICE", "--cantus-pc", "5"], "--cantus-pc applies only"),
+        (["--format", "TWO_VOICE", "--cantus-policy", "fixed", "--cantus-pc", "0"],
+         "unrecognized arguments: --cantus-policy fixed"),
+        (["--format", "TWO_VOICE", "--cantus-pc", "+3"], "--cantus-pc +3 is not a pitch class"),
         (["--format", "DRONE"], "DRONE input has no cantus"),
-        (["--format", "DRONE", "--cantus-policy", "fixed", "--cantus-pc", "12"],
-         "--cantus-pc 12 is not a pitch class"),
+        (["--format", "DRONE", "--cantus-pc", "12"], "--cantus-pc 12 is not a pitch class"),
         (["--format", "drone"], "argument --format: invalid choice"),
         (["--format", "TWO_VOICE", "--world", "nonsense"], "malformed pitch-class set"),
     ])
@@ -391,7 +383,7 @@ class TestAnalyze:
         code, out, err = run(
             capsys,
             "analyze", "--file", str(path), "--format", "DRONE", "--world", "fux",
-            "--cantus-policy", "fixed", "--cantus-pc", "0",
+            "--cantus-pc", "0",
         )
         assert code == 2
         assert out == ""
@@ -403,7 +395,7 @@ class TestAnalyze:
         code, out, err = run(
             capsys,
             "analyze", "--file", str(path), "--format", "DRONE", "--world", "fux",
-            "--cantus-policy", "fixed", "--cantus-pc", "0",
+            "--cantus-pc", "0",
         )
         assert code == 2
         assert out == ""
@@ -420,7 +412,7 @@ class TestAnalyze:
         code, out, err = run(
             capsys,
             "analyze", "--file", str(path), "--format", "DRONE", "--world", "fux",
-            "--cantus-policy", "fixed", "--cantus-pc", "0",
+            "--cantus-pc", "0",
         )
         assert code == 2
         assert out == ""
@@ -432,7 +424,7 @@ class TestAnalyze:
         code, _, err = run(
             capsys,
             "analyze", "--file", str(path), "--format", "DRONE", "--world", "fux",
-            "--cantus-policy", "fixed", "--cantus-pc", "0",
+            "--cantus-pc", "0",
         )
         assert code == 2
         assert "error: line 3: event at measure 1 beat 1 does not advance" in err
@@ -470,7 +462,19 @@ class TestNoll:
         code, out, err = run(capsys, "noll", "0,4,8", "--scan", "wt-triads")
         assert code == 2
         assert out == ""
-        assert "not both" in err
+        assert "argument --scan: not allowed with argument chord" in err
+
+    def test_empty_chord_with_scan_is_not_ignored(self, capsys):
+        code, out, err = run(capsys, "noll", "", "--scan", "wt-triads")
+        assert code == 2
+        assert out == ""
+        assert "not allowed with" in err
+
+    def test_empty_chord_is_input_error(self, capsys):
+        code, out, err = run(capsys, "noll", "")
+        assert code == 2
+        assert out == ""
+        assert "chord must be nonempty" in err
 
 
 class TestScaleReport:
@@ -650,7 +654,7 @@ GOLDEN_STDOUT = [
      "7c46091133d153f10c7f7741bfc4e7dc55241f55fa261357dd20fec7adaf6fed"),
     ("analyze --file long.csv --format TWO_VOICE --world fux --merge-low-expected --no-yates --output JSON",
      "d8701b140fdb8b6dd242d7a67f8514bb74526fa17e4910bf090edcc0affe7d9b"),
-    ("analyze --file drone.csv --format DRONE --world fux --cantus-policy fixed --cantus-pc 0 --output JSON",
+    ("analyze --file drone.csv --format DRONE --world fux --cantus-pc 0 --output JSON",
      "5d8b34db66910d93e5ad0d2a1f23e7d44d707e060d9e5bda02621ffd5b215c6c"),
     ("analyze --file fractional.csv --format TWO_VOICE --world fux",
      "abdfbb1fcd563cb123e4dd28ab8dc7e1011fec45475d4de839d8a0f2619f170e"),

@@ -1,12 +1,13 @@
 """The README's examples run and print what the README shows."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from counterpoint.cli_reports import main
+from counterpoint.cli_reports import build_parser, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README, re.MULTILINE | re.DOTALL)
@@ -40,3 +41,24 @@ def test_console_example_prints_what_the_readme_shows(capsys, command, shown):
 def test_library_quickstart_runs():
     (code,) = [body for lang, body in BLOCKS if lang == "python"]
     exec(compile(code, "README.md", "exec"), {})
+
+
+def parser_options(parser: argparse.ArgumentParser) -> set:
+    """Every option string of a parser and of its subcommands, at any depth."""
+    options = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for command in action.choices.values():
+                options |= parser_options(command)
+    return options
+
+
+def test_every_option_the_readme_names_exists():
+    named = {
+        option
+        for line in README.splitlines() if "pip install" not in line
+        for option in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line)
+    }
+    assert named, "the README names no option"
+    assert named - parser_options(build_parser()) == set()
