@@ -21,7 +21,8 @@ structure.  This script derives that structure deterministically:
   3. choose every cell deterministically (engine-agreement first, then
      lexicographic (k, d, l)) so the reconstruction is reproducible;
   4. verify the rebuilt table byte-for-byte against the frozen table
-     shipped in the package and re-check all calibration targets.
+     shipped in the package, then re-check the calibration targets on the
+     package's mystic world: its build gate, its moments and its overlap.
 
 Exit status 0 iff every check passes.
 """
@@ -29,12 +30,14 @@ Exit status 0 iff every check passes.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from counterpoint.dichotomies import Dichotomy, MYSTIC_HALF
-from counterpoint.model_tables import EXPECTED_STEP_HISTOGRAMS, mystic_class_count
-from counterpoint.stats import PopulationSpec
-from counterpoint.worlds import _engine_class_table
+from counterpoint.model_tables import mystic_class_count
+from counterpoint.worlds import (
+    GateFailure, _engine_class_table, build_world, world_moments, world_overlap,
+)
 
 N = 12
 MARKED = sorted(MYSTIC_HALF)
@@ -59,7 +62,6 @@ def derive_table(f_fux: dict) -> dict:
     kk = [c for c in sorted(t_engine) if c[0] in marked and c[2] in marked]
     dd_sector = [c for c in sorted(t_engine) if c[0] not in marked and c[2] not in marked]
     kk_fux_valid = [c for c in kk if f_fux[c] > 0]
-    kk_fux_forbidden = [c for c in kk if f_fux[c] == 0]
     dd_fux_forbidden = [c for c in dd_sector if f_fux[c] == 0]
 
     # deterministic preference order: engine-zero cells first for zeros,
@@ -94,40 +96,36 @@ def derive_table(f_fux: dict) -> dict:
     return table
 
 
-def verify(table: dict, f_fux: dict) -> list:
+def verify(table: dict) -> list:
+    """Failures of the rebuilt table against the frozen one and the calibration targets.
+
+    Once the two tables agree, the package's mystic world stands for the rebuilt one.
+    """
     failures = []
-    frozen = {c: mystic_class_count(*c) for c in CLASSES}
-    if table != frozen:
-        diff = sum(1 for c in frozen if frozen[c] != table[c])
+    diff = sum(1 for c, value in table.items() if mystic_class_count(*c) != value)
+    if diff:
         failures.append(f"rebuilt table differs from frozen table on {diff} cells")
-
-    histogram = {c: 0 for c in range(6)}
-    for value in table.values():
-        histogram[value] = histogram.get(value, 0) + 12  # 12 steps per class
-    if histogram != EXPECTED_STEP_HISTOGRAMS["mystic"]:
-        failures.append(f"histogram {histogram} != calibration target")
-
-    pop = PopulationSpec.from_histogram(histogram)
-    if f"{float(pop.mean):.4f}" != "0.5278" or not 1.0924 <= pop.sd <= 1.0927:
-        failures.append(f"moments off: mean {float(pop.mean):.4f} sd {pop.sd:.4f}")
-
-    total = N ** 4
-    valid = sum(12 for v in table.values() if v)
-    both = sum(12 for c, v in table.items() if v and f_fux[c] > 0)
-    p_m, p_f = Fraction(valid, total), Fraction(14016, total)
-    p_fm = Fraction(both, total)
-    if (p_m, p_fm) != (Fraction(4608, total), Fraction(2976, total)):
-        failures.append(f"overlap off: p_m {p_m}, p_fm {p_fm}")
-    if abs(p_fm - p_f * p_m) >= Fraction(1, 110):
+    try:
+        fux, mystic = build_world(Dichotomy.fux()), build_world(Dichotomy.mystic())
+    except GateFailure as exc:
+        return [*failures, str(exc)]
+    moments = world_moments(mystic)
+    if f"{float(moments.mean):.4f}" != "0.5278" or not 1.0924 <= moments.sd <= 1.0927:
+        failures.append(f"moments off: mean {float(moments.mean):.4f} sd {moments.sd:.4f}")
+    overlap = world_overlap(fux, mystic)
+    total = mystic.total_steps
+    if (overlap.p_b, overlap.p_ab) != (Fraction(4608, total), Fraction(2976, total)):
+        failures.append(f"overlap off: p_m {overlap.p_b}, p_fm {overlap.p_ab}")
+    if overlap.gap >= Fraction(1, 110):
         failures.append("independence gap exceeds 1/110")
     return failures
 
 
 def main() -> int:
-    f_fux = engine_class_counts(Dichotomy.fux())
-    table = derive_table(f_fux)
-    failures = verify(table, f_fux)
-    hist = {v: sum(12 for x in table.values() if x == v) for v in range(6)}
+    table = derive_table(engine_class_counts(Dichotomy.fux()))
+    failures = verify(table)
+    classes = Counter(table.values())
+    hist = {v: 12 * classes[v] for v in range(6)}  # 12 steps per class
     print(f"classes: {len(table)}  step histogram: {hist}")
     print("frozen-table digits (k-major, 144 per source interval):")
     digits = "".join(str(table[c]) for c in sorted(table))

@@ -31,14 +31,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import __version__
-from .dichotomies import (
-    EVEN_WHOLE_TONE,
-    Dichotomy,
-    NotStrong,
-    chord_endomorphisms,
-    parse_pitch_class_set,
-)
-from .residue_algebra import _TWELVE, DualNumber, ModulusMismatch, NotInvertible, _Value
+from .dichotomies import EVEN_WHOLE_TONE, Dichotomy, chord_endomorphisms, parse_pitch_class_set
+from .residue_algebra import _TWELVE, DualNumber, _ModelError, _Value
 from .score_io import (
     COLUMN_CANTUS,
     Dedup,
@@ -49,9 +43,6 @@ from .score_io import (
     parse_score,
 )
 from .stats import (
-    DegeneratePopulation,
-    EmptyCategory,
-    EmptySample,
     PopulationSpec,
     SdDivisor,
     _require_alpha,
@@ -60,7 +51,6 @@ from .stats import (
     sample_summary,
 )
 from .worlds import (
-    DeadEnd,
     GateFailure,
     RestrictionMode,
     build_world,
@@ -79,15 +69,6 @@ EXIT_MODEL = 3
 EXIT_GATE = 4
 
 _INPUT_ERRORS = (ValueError, OSError)
-_MODEL_ERRORS = (
-    NotStrong,
-    DegeneratePopulation,
-    EmptyCategory,
-    EmptySample,
-    ModulusMismatch,
-    DeadEnd,
-    NotInvertible,
-)
 
 
 def _jsonable(value):
@@ -235,16 +216,15 @@ def cmd_analyze(args) -> dict:
         raise ValueError("DRONE input has no cantus; use --cantus-pc PC")
     else:
         policy, policy_text = COLUMN_CANTUS, "COLUMN_CANTUS"
-    dedup = Dedup[args.dedup]
     dichotomy = Dichotomy.parse(args.world)
     _require_alpha(args.alpha)
     with open(args.file, encoding="utf-8") as f:  # every flag is checked before the file is read
         events = parse_score(f.read(), fmt)
     world = build_world(dichotomy)
-    seq = extract_transitions(events, policy, dedup)
+    seq = extract_transitions(events, policy, args.dedup)
     counts = score_against_world(seq, world)
     pop = PopulationSpec.from_histogram(world.histogram)
-    sample = sample_summary(counts, pop.support, SdDivisor[args.divisor])
+    sample = sample_summary(counts, pop.support, args.divisor)
     effect = effect_size(sample, pop, args.alpha)
     chi = chi_square_gof(sample, pop, yates=not args.no_yates,
                          merge_low_expected=args.merge_low_expected)
@@ -253,7 +233,7 @@ def cmd_analyze(args) -> dict:
         "TEXT": [
             f"world: {world.label} ({world.dichotomy.render()})",
             f"model-variant: {world.variant}",
-            f"file: {args.file}  policy: {policy_text}  dedup: {dedup.value}",
+            f"file: {args.file}  policy: {policy_text}  dedup: {args.dedup}",
             f"transitions: {len(counts)}",
             "per-step counts: " + " ".join(str(c) for c in counts),
             "observed: " + "  ".join(f"{k}:{v}" for k, v in sample.observed),
@@ -343,7 +323,7 @@ def cmd_noll(args) -> dict:
 def cmd_scale_report(args) -> dict:
     world = build_world(Dichotomy.parse(args.dichotomy))
     scale = parse_pitch_class_set(args.scale)
-    report = scale_restriction_report(world, scale, RestrictionMode[args.mode])
+    report = scale_restriction_report(world, scale, args.mode)
     return {
         "TEXT": [
             f"world: {world.label}  scale: {','.join(str(p) for p in report.scale)}  "
@@ -447,7 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--divisor", choices=[d.value for d in SdDivisor], default="N")
     analyze.set_defaults(func=cmd_analyze)
 
-    noll = sub.add_parser("noll", help="chord endomorphism report")
+    # argparse cannot draw a group that holds a positional, so the usage names the rule.
+    noll = sub.add_parser(
+        "noll",
+        help="chord endomorphism report",
+        usage="%(prog)s [-h] (chord | --scan {wt-triads}) [--output {TEXT,JSON}]",
+    )
     chord_or_scan = noll.add_mutually_exclusive_group(required=True)
     chord_or_scan.add_argument("chord", nargs="?")
     chord_or_scan.add_argument("--scan", choices=["wt-triads"])
@@ -487,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     except GateFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GATE
-    except _MODEL_ERRORS as exc:
+    except _ModelError as exc:  # before _INPUT_ERRORS: most model errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
     except _INPUT_ERRORS as exc:

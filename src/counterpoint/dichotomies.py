@@ -13,10 +13,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from math import comb
 
-from .residue_algebra import _TWELVE, Modulus, ResidueAffineMap, _Value
+from .residue_algebra import _TWELVE, Modulus, ResidueAffineMap, _ModelError, _Value
 
 
-class NotStrong(ValueError):
+class NotStrong(ValueError, _ModelError):
     """The operation requires a strong dichotomy."""
 
 

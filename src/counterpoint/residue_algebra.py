@@ -77,11 +77,15 @@ class _Value:
         return type(self), self._key(self)
 
 
-class NotInvertible(ValueError):
+class _ModelError(Exception):
+    """Base of the model errors; each keeps its builtin base too, and the CLI exits 3 on any."""
+
+
+class NotInvertible(ValueError, _ModelError):
     """The map's linear part is not a unit modulo n."""
 
 
-class ModulusMismatch(ValueError):
+class ModulusMismatch(ValueError, _ModelError):
     """Two algebraic objects with different moduli were combined."""
 
 

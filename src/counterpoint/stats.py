@@ -21,18 +21,18 @@ from enum import Enum
 from fractions import Fraction
 from statistics import NormalDist
 
-from .residue_algebra import _Value
+from .residue_algebra import _ModelError, _Value
 
 
-class DegeneratePopulation(ValueError):
+class DegeneratePopulation(ValueError, _ModelError):
     """The population standard deviation is zero; effect size is undefined."""
 
 
-class EmptyCategory(ValueError):
+class EmptyCategory(ValueError, _ModelError):
     """An observed value falls in a category of zero population probability."""
 
 
-class EmptySample(ValueError):
+class EmptySample(ValueError, _ModelError):
     """The sample contains no observations."""
 
 

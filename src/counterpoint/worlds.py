@@ -94,6 +94,7 @@ from .residue_algebra import (
     DualAffineMap,
     DualNumber,
     Modulus,
+    _ModelError,
     _plane,
     _require_same_modulus,
     _Value,
@@ -105,7 +106,7 @@ class GateFailure(RuntimeError):
     """A preset world build failed its frozen calibration fingerprints."""
 
 
-class DeadEnd(RuntimeError):
+class DeadEnd(RuntimeError, _ModelError):
     """The walk's start interval has no valid successor."""
 
 

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -453,10 +454,19 @@ class TestNoll:
         assert len(payload["reports"]) == 20
         assert payload["all_strong_verdicts_false"] is True
 
+    USAGE = "usage: counterpoint noll [-h] (chord | --scan {wt-triads}) [--output {TEXT,JSON}]"
+
     def test_requires_chord_or_scan(self, capsys):
-        code, _, err = run(capsys, "noll")
+        code, out, err = run(capsys, "noll")
         assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == self.USAGE
         assert "error:" in err
+
+    def test_help_shows_chord_or_scan(self, capsys):
+        code, out, _ = run(capsys, "noll", "--help")
+        assert code == 0
+        assert out.splitlines()[0] == self.USAGE
 
     def test_chord_and_scan_are_exclusive(self, capsys):
         code, out, err = run(capsys, "noll", "0,4,8", "--scan", "wt-triads")
@@ -750,6 +760,28 @@ def test_every_exported_exception_has_a_typed_exit_code(capsys, monkeypatch, nam
     assert code == EXIT_CODES[name]
     assert err.startswith("error: ")
     assert out == ""
+
+
+@pytest.mark.parametrize("name", EXPORTED_EXCEPTIONS)
+def test_exit_three_is_the_model_error_base(name):
+    cls = getattr(counterpoint, name)
+    assert issubclass(cls, counterpoint.residue_algebra._ModelError) == (EXIT_CODES[name] == 3)
+
+
+def test_the_cli_names_no_model_error_of_its_own():
+    """The CLI catches model errors by their base, not by a list of their classes."""
+    tree = ast.parse(Path(cli_reports.__file__).read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    exceptions = {
+        name for name in imported
+        if isinstance(getattr(cli_reports, name), type)
+        and issubclass(getattr(cli_reports, name), BaseException)
+    }
+    assert exceptions == {"GateFailure", "_ModelError"}
 
 
 @pytest.mark.parametrize("table, tamper", [

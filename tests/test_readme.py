@@ -9,7 +9,8 @@ import pytest
 
 from counterpoint.cli_reports import build_parser, main
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README, re.MULTILINE | re.DOTALL)
 
 
@@ -62,3 +63,9 @@ def test_every_option_the_readme_names_exists():
     }
     assert named, "the README names no option"
     assert named - parser_options(build_parser()) == set()
+
+
+def test_the_scripts_section_names_every_script_and_no_other():
+    section = README.split("\n## Scripts\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`scripts/([^`/]+)`", section))
+    assert named == {path.name for path in (ROOT / "scripts").iterdir() if path.is_file()}
